@@ -104,6 +104,7 @@ fn main() {
         serve_listener(
             &server_engine,
             listener,
+            None,
             NetConfig {
                 max_conns: IDLE_HERD + 128,
                 ..NetConfig::default()

@@ -63,14 +63,14 @@ fn start_tier(shards: usize) -> Tier {
         addrs.push(listener.local_addr().unwrap().to_string());
         let server_engine = Arc::clone(&engine);
         backend_handles.push(std::thread::spawn(move || {
-            serve_listener(&server_engine, listener, NetConfig::default())
+            serve_listener(&server_engine, listener, None, NetConfig::default())
         }));
         engines.push(engine);
     }
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind router");
     let router_addr = listener.local_addr().unwrap();
     let config = RouterConfig::new(addrs);
-    let router_handle = std::thread::spawn(move || run_router(listener, config));
+    let router_handle = std::thread::spawn(move || run_router(listener, None, config));
     Tier {
         engines,
         backend_handles,

@@ -118,7 +118,7 @@ fn serve_network(
         auth_token: net.auth_token.clone(),
         ..freqywm_net::NetConfig::default()
     };
-    freqywm_net::serve_listener_with_metrics(engine, listener, metrics_listener, config)
+    freqywm_net::serve_listener(engine, listener, metrics_listener, config)
         .map_err(|e| format!("network serve error: {e}"))
 }
 
@@ -171,18 +171,21 @@ fn run_router(
     let metrics_listener = bind_metrics_listener(&opts.metrics_listen, out)?;
     out.flush().ok();
     let config = freqywm_shard::RouterConfig {
-        max_conns: opts.max_conns.max(1),
-        max_frame: opts.max_frame.max(1),
+        net: freqywm_net::NetConfig {
+            max_conns: opts.max_conns.max(1),
+            max_frame: opts.max_frame.max(1),
+            drain_timeout: std::time::Duration::from_secs(opts.drain_timeout_secs.max(1)),
+            auth_token: opts.auth_token.clone(),
+            ..freqywm_net::NetConfig::default()
+        },
         probe_interval: std::time::Duration::from_secs(opts.probe_interval_secs.max(1)),
-        drain_timeout: std::time::Duration::from_secs(opts.drain_timeout_secs.max(1)),
         failover_timeout: std::time::Duration::from_secs(opts.failover_timeout_secs.max(1)),
-        auth_token: opts.auth_token.clone(),
         shard_auth_token: opts.shard_auth_token.clone(),
         handle_signals: true,
         standbys,
         ..freqywm_shard::RouterConfig::new(shards)
     };
-    freqywm_shard::run_router_with_metrics(listener, metrics_listener, config)
+    freqywm_shard::run_router(listener, metrics_listener, config)
         .map_err(|e| format!("router error: {e}"))
 }
 
@@ -432,7 +435,7 @@ fn run_inner(cmd: Command, out: &mut dyn std::io::Write) -> Result<i32, String> 
                     // Session machinery as the socket path; EOF takes
                     // the graceful-drain route (in-flight responses
                     // flush before exit).
-                    proto::serve_with_auth(
+                    proto::serve(
                         &engine,
                         std::io::BufReader::new(std::io::stdin()),
                         &mut *out,

@@ -1,20 +1,21 @@
-//! Per-connection state: non-blocking framing in, ordered responses
-//! out, all protocol semantics delegated to [`Session`].
+//! Line I/O over one non-blocking socket: budgeted, framed reads in;
+//! an ordered write buffer out. Every line-speaking connection the
+//! reactor core drives is one of these — engine clients, router
+//! clients and the router's backend links alike. Protocol meaning
+//! lives with the caller; this type only moves bytes.
 
 use crate::framing::{LineEvent, LineFramer};
-use crate::poller::Interest;
-use freqywm_service::metrics::NetCounters;
-use freqywm_service::proto::{frame_too_large_response, Session};
-use freqywm_service::Engine;
-use std::io::{Read, Write};
+use crate::poller::{Interest, Poller};
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
+use std::os::unix::io::{AsRawFd, RawFd};
 use std::time::Instant;
 
 /// How much we try to read per `read(2)` call.
 const READ_CHUNK: usize = 16 * 1024;
 
-/// Byte budget per [`Conn::read_ready`] invocation. A client that
-/// streams requests continuously must not pin the reactor in one read
+/// Byte budget per [`LineConn::read_ready`] invocation. A peer that
+/// streams lines continuously must not pin the reactor in one read
 /// loop: the poller is level-triggered, so leftover input re-reports
 /// readable on the next iteration — after every other connection got
 /// its turn and backpressure had a chance to evict.
@@ -23,108 +24,92 @@ const READ_BUDGET: usize = 4 * READ_CHUNK;
 /// Compact the write buffer once this many bytes are dead at its front.
 const COMPACT_THRESHOLD: usize = 64 * 1024;
 
-pub(crate) struct Conn {
+pub struct LineConn {
     stream: TcpStream,
-    pub session: Session,
-    /// Peer closed its write half; we may still owe responses.
+    framer: LineFramer,
+    /// Deliver an unterminated final line at EOF. Client input gets it
+    /// (parity with the pipe transport's `FrameReader`); a backend
+    /// *response* without its newline was cut mid-write, so handing it
+    /// on would answer a client with garbage.
+    deliver_tail: bool,
+    out_buf: Vec<u8>,
+    out_pos: usize,
+    /// Peer closed its write half; we may still owe it output.
     pub eof: bool,
-    /// I/O failed — close as soon as the reactor sees it.
+    /// I/O failed — close as soon as the owner sees it.
     pub failed: bool,
     pub last_activity: Instant,
     /// Interest currently registered with the poller.
     pub interest: Interest,
-    framer: LineFramer,
-    out_buf: Vec<u8>,
-    out_pos: usize,
 }
 
-impl Conn {
-    pub fn new(stream: TcpStream, max_frame: usize, auth_token: Option<String>) -> Self {
-        Conn {
+impl LineConn {
+    pub fn new(stream: TcpStream, max_frame: usize, deliver_tail: bool) -> Self {
+        LineConn {
             stream,
-            session: Session::with_auth(auth_token),
+            framer: LineFramer::new(max_frame),
+            deliver_tail,
+            out_buf: Vec::new(),
+            out_pos: 0,
             eof: false,
             failed: false,
             last_activity: Instant::now(),
             interest: Interest::READ,
-            framer: LineFramer::new(max_frame),
-            out_buf: Vec::new(),
-            out_pos: 0,
         }
     }
 
-    /// Reads up to [`READ_BUDGET`] bytes and feeds complete frames to
-    /// the session. Never blocks; stops at `WouldBlock`, EOF or the
-    /// budget (leftover input re-reports readable — level-triggered).
-    pub fn read_ready(&mut self, engine: &Engine, counters: &NetCounters, max_frame: usize) {
+    pub fn fd(&self) -> RawFd {
+        self.stream.as_raw_fd()
+    }
+
+    /// Reads up to [`READ_BUDGET`] bytes, handing each completed frame
+    /// to `sink`. Never blocks; stops at `WouldBlock`, EOF or the
+    /// budget. Returns bytes read.
+    pub fn read_ready(&mut self, mut sink: impl FnMut(LineEvent)) -> u64 {
         let mut chunk = [0u8; READ_CHUNK];
-        let mut budget = READ_BUDGET;
-        while budget > 0 {
+        let mut total = 0usize;
+        while total < READ_BUDGET {
             match self.stream.read(&mut chunk) {
                 Ok(0) => {
                     self.eof = true;
-                    // Mirror FrameReader's EOF handling: a final frame
-                    // without a trailing newline still gets processed.
-                    let session = &mut self.session;
-                    self.framer.finish(|event| {
-                        if let LineEvent::Line(line) = event {
-                            session.push_line(engine, &line);
-                        }
-                    });
+                    if self.deliver_tail {
+                        self.framer.finish(&mut sink);
+                    }
                     break;
                 }
                 Ok(n) => {
-                    counters.add_bytes_in(n as u64);
+                    total += n;
                     self.last_activity = Instant::now();
-                    let session = &mut self.session;
-                    self.framer.push(&chunk[..n], |event| match event {
-                        LineEvent::Line(line) => session.push_line(engine, &line),
-                        LineEvent::Oversized => {
-                            session.push_transport_error(frame_too_large_response(max_frame))
-                        }
-                    });
-                    budget = budget.saturating_sub(n);
+                    self.framer.push(&chunk[..n], &mut sink);
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
                     self.failed = true;
                     break;
                 }
             }
         }
+        total as u64
     }
 
-    /// Moves ready-ordered responses from the session into the write
-    /// buffer.
-    pub fn queue_responses(&mut self) {
-        for resp in self.session.take_ready() {
-            self.out_buf.extend_from_slice(resp.as_bytes());
-            self.out_buf.push(b'\n');
-        }
+    /// Appends one line (plus its newline) to the write buffer.
+    pub fn queue(&mut self, line: &str) {
+        self.out_buf.extend_from_slice(line.as_bytes());
+        self.out_buf.push(b'\n');
     }
 
     /// Writes as much buffered output as the socket accepts. Never
-    /// blocks.
-    pub fn flush(&mut self, counters: &NetCounters) {
-        while self.out_pos < self.out_buf.len() {
-            match self.stream.write(&self.out_buf[self.out_pos..]) {
-                Ok(0) => {
-                    self.failed = true;
-                    break;
-                }
-                Ok(n) => {
-                    self.out_pos += n;
-                    counters.add_bytes_out(n as u64);
-                    self.last_activity = Instant::now();
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.failed = true;
-                    break;
-                }
-            }
+    /// blocks. Returns bytes written.
+    pub fn flush(&mut self) -> u64 {
+        let n = write_pending(
+            &mut self.stream,
+            &self.out_buf,
+            &mut self.out_pos,
+            &mut self.failed,
+        );
+        if n > 0 {
+            self.last_activity = Instant::now();
         }
         if self.out_pos == self.out_buf.len() {
             self.out_buf.clear();
@@ -133,21 +118,54 @@ impl Conn {
             self.out_buf.drain(..self.out_pos);
             self.out_pos = 0;
         }
+        n
     }
 
-    /// Response bytes queued but not yet accepted by the socket.
+    /// Bytes queued but not yet accepted by the socket.
     pub fn buffered(&self) -> usize {
         self.out_buf.len() - self.out_pos
     }
 
-    /// Nothing in flight, nothing deferred, nothing left to write.
-    pub fn settled(&self) -> bool {
-        self.session.is_settled() && self.buffered() == 0
+    /// Re-registers with `poller` when `want` differs from the current
+    /// interest.
+    pub fn set_interest(
+        &mut self,
+        poller: &mut Poller,
+        token: u64,
+        want: Interest,
+    ) -> io::Result<()> {
+        if want != self.interest {
+            poller.modify(self.fd(), token, want)?;
+            self.interest = want;
+        }
+        Ok(())
     }
+}
 
-    /// Eligible for idle reaping: settled and healthy. A connection
-    /// waiting on a job or with unflushed output is busy, not idle.
-    pub fn reapable_idle(&self) -> bool {
-        self.settled() && !self.failed
+/// Writes `buf[*pos..]` until the socket would block, advancing `pos`;
+/// sets `failed` on a write error or a zero-length write. Returns bytes
+/// written.
+pub(crate) fn write_pending(
+    stream: &mut TcpStream,
+    buf: &[u8],
+    pos: &mut usize,
+    failed: &mut bool,
+) -> u64 {
+    let start = *pos;
+    while *pos < buf.len() {
+        match stream.write(&buf[*pos..]) {
+            Ok(0) => {
+                *failed = true;
+                break;
+            }
+            Ok(n) => *pos += n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => {
+                *failed = true;
+                break;
+            }
+        }
     }
+    (*pos - start) as u64
 }

@@ -1,9 +1,9 @@
 //! Newline framing over non-blocking byte streams, with a frame-size
 //! cap.
 //!
-//! Both reactor tiers consume it: the engine front-end's connections
-//! ([`crate::serve_listener`]) and the shard router's client- and
-//! backend-facing connections. A frame longer than the cap is reported
+//! Every line-speaking connection reads through it (via `LineConn`):
+//! engine and router clients alike, and the router's backend links.
+//! A frame longer than the cap is reported
 //! once as [`LineEvent::Oversized`] and discarded through its
 //! terminating newline, so one bad frame costs one error response, not
 //! the connection. This is the non-blocking twin of the pipe

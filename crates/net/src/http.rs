@@ -8,13 +8,16 @@
 //! the same poller loop as the protocol connections, so a scrape
 //! endpoint costs no extra thread.
 //!
-//! Shared by both reactors: `freqywm serve --metrics-listen` (engine
-//! exposition) and `freqywm router --metrics-listen` (tier exposition)
-//! differ only in the render callback.
+//! The reactor core drives these for both front-ends: `freqywm serve
+//! --metrics-listen` (engine exposition) and `freqywm router
+//! --metrics-listen` (tier exposition) differ only in the render
+//! callback.
 
+use crate::conn::write_pending;
 use crate::poller::Interest;
-use std::io::{Read, Write};
+use std::io::Read;
 use std::net::TcpStream;
+use std::os::unix::io::{AsRawFd, RawFd};
 use std::time::Instant;
 
 /// Request-head cap: a scrape request has no business being larger.
@@ -56,7 +59,7 @@ impl HttpConn {
     /// one response: the rendered exposition for `GET /metrics`, an
     /// error status otherwise. Returns bytes read (for traffic
     /// accounting). Never blocks.
-    pub fn read_ready(&mut self, render: impl FnOnce() -> String) -> u64 {
+    pub fn read_ready(&mut self, mut render: impl FnMut() -> String) -> u64 {
         let mut chunk = [0u8; READ_CHUNK];
         let mut total = 0u64;
         while !self.responded && !self.failed {
@@ -70,16 +73,11 @@ impl HttpConn {
                     total += n as u64;
                     self.last_activity = Instant::now();
                     self.head.extend_from_slice(&chunk[..n]);
-                    if head_complete(&self.head) {
-                        self.respond(render);
-                        break;
-                    }
-                    if self.head.len() > MAX_HEAD {
-                        self.queue(response(
-                            "431 Request Header Fields Too Large",
-                            "text/plain; charset=utf-8",
-                            "request head too large\n",
-                        ));
+                    if let Some(resp) = answer(&self.head, &mut render) {
+                        self.out_buf = resp;
+                        self.out_pos = 0;
+                        self.responded = true;
+                        self.head.clear();
                         break;
                     }
                 }
@@ -92,65 +90,25 @@ impl HttpConn {
             }
         }
         total
-    }
-
-    fn respond(&mut self, render: impl FnOnce() -> String) {
-        let resp = match parse_request_line(&self.head) {
-            Some(("GET", target)) if is_metrics_target(target) => response(
-                "200 OK",
-                "text/plain; version=0.0.4; charset=utf-8",
-                &render(),
-            ),
-            Some(("GET", _)) => response(
-                "404 Not Found",
-                "text/plain; charset=utf-8",
-                "not found; try /metrics\n",
-            ),
-            Some((_, _)) => response(
-                "405 Method Not Allowed",
-                "text/plain; charset=utf-8",
-                "only GET is supported\n",
-            ),
-            None => response(
-                "400 Bad Request",
-                "text/plain; charset=utf-8",
-                "malformed request line\n",
-            ),
-        };
-        self.queue(resp);
-    }
-
-    fn queue(&mut self, resp: Vec<u8>) {
-        self.out_buf = resp;
-        self.out_pos = 0;
-        self.responded = true;
-        self.head.clear();
     }
 
     /// Writes as much buffered output as the socket accepts. Returns
     /// bytes written. Never blocks.
     pub fn flush(&mut self) -> u64 {
-        let mut total = 0u64;
-        while self.out_pos < self.out_buf.len() {
-            match self.stream.write(&self.out_buf[self.out_pos..]) {
-                Ok(0) => {
-                    self.failed = true;
-                    break;
-                }
-                Ok(n) => {
-                    self.out_pos += n;
-                    total += n as u64;
-                    self.last_activity = Instant::now();
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.failed = true;
-                    break;
-                }
-            }
+        let n = write_pending(
+            &mut self.stream,
+            &self.out_buf,
+            &mut self.out_pos,
+            &mut self.failed,
+        );
+        if n > 0 {
+            self.last_activity = Instant::now();
         }
-        total
+        n
+    }
+
+    pub fn fd(&self) -> RawFd {
+        self.stream.as_raw_fd()
     }
 
     /// Response bytes queued but not yet accepted by the socket.
@@ -162,6 +120,33 @@ impl HttpConn {
     pub fn settled(&self) -> bool {
         self.responded && self.buffered() == 0
     }
+}
+
+/// The one response owed for the request head accumulated so far: the
+/// rendered exposition for `GET /metrics`, an error status for any
+/// other request, 431 once the head outgrows [`MAX_HEAD`]. `None`
+/// while the head is still incomplete.
+fn answer(head: &[u8], render: impl FnOnce() -> String) -> Option<Vec<u8>> {
+    const PLAIN: &str = "text/plain; charset=utf-8";
+    if !head_complete(head) {
+        return (head.len() > MAX_HEAD).then(|| {
+            response(
+                "431 Request Header Fields Too Large",
+                PLAIN,
+                "request head too large\n",
+            )
+        });
+    }
+    Some(match parse_request_line(head) {
+        Some(("GET", target)) if is_metrics_target(target) => response(
+            "200 OK",
+            "text/plain; version=0.0.4; charset=utf-8",
+            &render(),
+        ),
+        Some(("GET", _)) => response("404 Not Found", PLAIN, "not found; try /metrics\n"),
+        Some((_, _)) => response("405 Method Not Allowed", PLAIN, "only GET is supported\n"),
+        None => response("400 Bad Request", PLAIN, "malformed request line\n"),
+    })
 }
 
 /// The request head ends at the first blank line (tolerating bare-LF
@@ -199,6 +184,54 @@ pub fn response(status: &str, content_type: &str, body: &str) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Feeds `bytes` in `chunks`-sized reads the way
+    /// [`HttpConn::read_ready`] does: the first answer wins.
+    fn answer_chunked(bytes: &[u8], chunk: usize) -> Option<Vec<u8>> {
+        let mut head = Vec::new();
+        for piece in bytes.chunks(chunk.max(1)) {
+            head.extend_from_slice(piece);
+            if let Some(resp) = answer(&head, || "body".to_string()) {
+                return Some(resp);
+            }
+        }
+        None
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn arbitrary_heads_never_panic(
+            bytes in collection::vec(
+                sample::select(vec![b'G', b'E', b'T', b' ', b'/', b'\r', b'\n', 0xFF, 0x00, b'm']),
+                0..600,
+            ),
+            chunk in 1usize..64,
+        ) {
+            let _ = head_complete(&bytes);
+            let _ = parse_request_line(&bytes);
+            let _ = answer_chunked(&bytes, chunk);
+        }
+
+        /// A head past 8 KiB with no blank line gets the 431, however
+        /// the bytes arrive.
+        #[test]
+        fn oversized_head_gets_431(
+            line in collection::vec(sample::select(vec![b'a', b'\r', b':', b' ']), 1..64),
+            chunk in 1usize..4096,
+        ) {
+            // Every newline is followed by `X`: never a blank line.
+            let mut head = b"GET /metrics HTTP/1.1\r\nX".to_vec();
+            while head.len() <= MAX_HEAD {
+                head.extend_from_slice(&line);
+                head.extend_from_slice(b"\nX");
+            }
+            let resp = answer_chunked(&head, chunk).expect("answered");
+            prop_assert!(resp.starts_with(b"HTTP/1.1 431 "));
+        }
+    }
 
     #[test]
     fn request_line_parsing_and_target_match() {

@@ -26,6 +26,12 @@
 //! blocks on a job. Connection gauges land in the engine's
 //! `MetricsSnapshot` (`net.*`) and surface through the `metrics` op.
 //!
+//! The reactor core ([`Core`]) is shared with the shard router: it
+//! owns listeners, the wake pipe, client connections, scrapes, idle
+//! reaping and the drain, and each front-end plugs in through one small
+//! [`Handler`] — [`serve_listener`] supplies a `Session` per client,
+//! the router supplies ordered response slots and its backend links.
+//!
 //! The reactor is unix-only; on other platforms [`serve_listener`]
 //! returns [`std::io::ErrorKind::Unsupported`] and the stdin/stdout
 //! pipe transport remains available.
@@ -39,34 +45,27 @@ pub use framing::{LineEvent, LineFramer};
 #[cfg(unix)]
 mod conn;
 #[cfg(unix)]
-pub mod http;
+mod http;
 #[cfg(unix)]
 mod poller;
+#[cfg(unix)]
+mod reactor;
 #[cfg(unix)]
 mod server;
 #[cfg(unix)]
 mod sys;
 
 #[cfg(unix)]
+pub use conn::LineConn;
+#[cfg(unix)]
 pub use poller::{Event, Interest, Poller};
 #[cfg(unix)]
-pub use server::{serve_listener, serve_listener_with_metrics};
+pub use reactor::{Client, Core, Handler, Waker, HANDLER_TOKEN_BASE};
+#[cfg(unix)]
+pub use server::serve_listener;
 
 #[cfg(not(unix))]
 pub fn serve_listener(
-    _engine: &freqywm_service::Engine,
-    _listener: std::net::TcpListener,
-    _config: NetConfig,
-) -> std::io::Result<()> {
-    Err(std::io::Error::new(
-        std::io::ErrorKind::Unsupported,
-        "the freqywm-net reactor requires a unix platform (epoll/poll); \
-         use the stdin/stdout pipe transport instead",
-    ))
-}
-
-#[cfg(not(unix))]
-pub fn serve_listener_with_metrics(
     _engine: &freqywm_service::Engine,
     _listener: std::net::TcpListener,
     _metrics_listener: Option<std::net::TcpListener>,

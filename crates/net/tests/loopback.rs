@@ -23,7 +23,8 @@ fn start_server(
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().unwrap();
     let server_engine = Arc::clone(&engine);
-    let handle = std::thread::spawn(move || serve_listener(&server_engine, listener, net_config));
+    let handle =
+        std::thread::spawn(move || serve_listener(&server_engine, listener, None, net_config));
     (engine, addr, handle)
 }
 

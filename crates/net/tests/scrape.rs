@@ -2,7 +2,7 @@
 //! on the protocol reactor (`freqywm serve --metrics-listen`).
 #![cfg(unix)]
 
-use freqywm_net::{serve_listener_with_metrics, Backend, NetConfig};
+use freqywm_net::{serve_listener, Backend, NetConfig};
 use freqywm_obs::prom::parse_exposition;
 use freqywm_service::engine::{Engine, EngineConfig};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -29,9 +29,8 @@ fn start_server() -> (
         ..NetConfig::default()
     };
     let server_engine = Arc::clone(&engine);
-    let handle = std::thread::spawn(move || {
-        serve_listener_with_metrics(&server_engine, listener, Some(metrics), config)
-    });
+    let handle =
+        std::thread::spawn(move || serve_listener(&server_engine, listener, Some(metrics), config));
     (engine, addr, metrics_addr, handle)
 }
 

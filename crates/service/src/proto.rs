@@ -155,16 +155,27 @@ pub mod json {
         out
     }
 
+    /// Deepest array/object nesting [`parse`] accepts. The protocol
+    /// itself nests a handful of levels; the cap exists because the
+    /// parser recurses once per level, so an unbounded line of `[`
+    /// would overflow the stack of whichever thread parses it.
+    pub const MAX_DEPTH: usize = 128;
+
     struct Parser<'a> {
         bytes: &'a [u8],
         pos: usize,
+        /// Arrays/objects currently open.
+        depth: usize,
     }
 
-    /// Parses one JSON document (trailing whitespace allowed).
+    /// Parses one JSON document (trailing whitespace allowed). Input
+    /// nested deeper than [`MAX_DEPTH`] is an error, never a stack
+    /// overflow.
     pub fn parse(input: &str) -> Result<Value, String> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         let v = p.value()?;
         p.skip_ws();
@@ -213,14 +224,28 @@ pub mod json {
 
         fn value(&mut self) -> Result<Value, String> {
             match self.peek()? {
-                b'{' => self.object(),
-                b'[' => self.array(),
+                b'{' | b'[' if self.depth == MAX_DEPTH => Err(format!(
+                    "nesting deeper than {MAX_DEPTH} levels at offset {}",
+                    self.pos
+                )),
+                b'{' => self.nested(Self::object),
+                b'[' => self.nested(Self::array),
                 b'"' => Ok(Value::Str(self.string()?)),
                 b't' => self.literal("true", Value::Bool(true)),
                 b'f' => self.literal("false", Value::Bool(false)),
                 b'n' => self.literal("null", Value::Null),
                 _ => self.number(),
             }
+        }
+
+        fn nested(
+            &mut self,
+            parse: fn(&mut Self) -> Result<Value, String>,
+        ) -> Result<Value, String> {
+            self.depth += 1;
+            let v = parse(self);
+            self.depth -= 1;
+            v
         }
 
         fn object(&mut self) -> Result<Value, String> {
@@ -1569,17 +1594,10 @@ enum ServeEvent {
 }
 
 /// Serves JSON-lines over arbitrary reader/writer until EOF or a
-/// `shutdown` op, with [`DEFAULT_MAX_FRAME`] as the input frame cap.
-/// Blank lines and `#` comments are skipped.
-pub fn serve<R, W>(engine: &Engine, reader: R, writer: W) -> std::io::Result<()>
-where
-    R: BufRead + Send + 'static,
-    W: Write,
-{
-    serve_with(engine, reader, writer, DEFAULT_MAX_FRAME)
-}
-
-/// [`serve`] with an explicit input frame-size cap.
+/// `shutdown` op. Blank lines and `#` comments are skipped; a line
+/// longer than `max_frame` ([`DEFAULT_MAX_FRAME`] is the CLI default)
+/// gets one error response. With `auth_token` the session sits behind
+/// the shared-secret auth gate (see [`Session::with_auth`]).
 ///
 /// Requests are pipelined through a [`Session`]: jobs run on the worker
 /// pool while the reader keeps feeding, responses stream back in
@@ -1589,22 +1607,7 @@ where
 /// on a helper thread so completions can be written while the transport
 /// is idle; the engine's completion hook is used for wakeups and is
 /// released on return.
-pub fn serve_with<R, W>(
-    engine: &Engine,
-    reader: R,
-    writer: W,
-    max_frame: usize,
-) -> std::io::Result<()>
-where
-    R: BufRead + Send + 'static,
-    W: Write,
-{
-    serve_with_auth(engine, reader, writer, max_frame, None)
-}
-
-/// [`serve_with`] behind the shared-secret auth gate (see
-/// [`Session::with_auth`]).
-pub fn serve_with_auth<R, W>(
+pub fn serve<R, W>(
     engine: &Engine,
     reader: R,
     mut writer: W,
@@ -1781,6 +1784,24 @@ mod tests {
         assert!(parse("{\"a\":}").is_err());
         assert!(parse("[1,2,]").is_err());
         assert!(parse("{\"a\":1} trailing").is_err());
+    }
+
+    #[test]
+    fn json_nesting_depth_is_capped() {
+        let nest = |open: &str, close: &str, n: usize| open.repeat(n) + "0" + &close.repeat(n);
+        assert!(parse(&nest("[", "]", json::MAX_DEPTH)).is_ok());
+        assert!(parse(&nest("{\"a\":", "}", json::MAX_DEPTH)).is_ok());
+        let err = parse(&nest("[", "]", json::MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // ~200 KB, well under the default frame cap: recursing once per
+        // level here used to overflow the stack.
+        assert!(parse(&nest("[", "]", 100_000)).is_err());
+        assert!(parse(&nest("{\"a\":", "}", 100_000)).is_err());
+        let resp = handle_line(&test_engine(), &nest("[", "]", 100_000));
+        assert!(
+            resp.contains("\"ok\":false") && resp.contains("bad json"),
+            "{resp}"
+        );
     }
 
     fn test_engine() -> Engine {
@@ -2024,7 +2045,7 @@ mod tests {
             "{\"op\":\"metrics\"}\n", // after shutdown: never processed
         );
         let mut out = Vec::new();
-        serve(&engine, input.as_bytes(), &mut out).unwrap();
+        serve(&engine, input.as_bytes(), &mut out, DEFAULT_MAX_FRAME, None).unwrap();
         let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().trim().lines().collect();
         assert_eq!(lines.len(), 3, "{lines:?}");
         assert!(lines[0].contains("register"));
@@ -2053,7 +2074,14 @@ mod tests {
         }
         input.push_str("not json at all\n");
         let mut out = Vec::new();
-        serve(&engine, std::io::Cursor::new(input), &mut out).unwrap();
+        serve(
+            &engine,
+            std::io::Cursor::new(input),
+            &mut out,
+            DEFAULT_MAX_FRAME,
+            None,
+        )
+        .unwrap();
         let text = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = text.trim().lines().collect();
         assert_eq!(lines.len(), 7, "{text}");
@@ -2074,7 +2102,7 @@ mod tests {
         let big = format!("{{\"op\":\"metrics\",\"pad\":\"{}\"}}", "x".repeat(512));
         let input = format!("{big}\n{{\"op\":\"metrics\"}}\n");
         let mut out = Vec::new();
-        serve_with(&engine, std::io::Cursor::new(input), &mut out, 256).unwrap();
+        serve(&engine, std::io::Cursor::new(input), &mut out, 256, None).unwrap();
         let text = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = text.trim().lines().collect();
         assert_eq!(lines.len(), 2, "{text}");
@@ -2256,7 +2284,7 @@ mod tests {
             "{\"op\":\"metrics\",\"id\":2}\n",
         );
         let mut out = Vec::new();
-        serve_with_auth(
+        serve(
             &engine,
             input.as_bytes(),
             &mut out,
@@ -2402,7 +2430,14 @@ mod tests {
         ));
         input.push_str("{\"op\":\"trace\",\"trace\":\"t-serve-9\"}\n");
         let mut out = Vec::new();
-        serve(&engine, std::io::Cursor::new(input), &mut out).unwrap();
+        serve(
+            &engine,
+            std::io::Cursor::new(input),
+            &mut out,
+            DEFAULT_MAX_FRAME,
+            None,
+        )
+        .unwrap();
         let text = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = text.trim().lines().collect();
         assert_eq!(lines.len(), 3, "{text}");

@@ -15,7 +15,10 @@
 //!   accepts the ordinary JSON-lines protocol, forwards each request to
 //!   its tenant's shard over multiplexed pipelined backend connections,
 //!   fans out and merges tenant-agnostic ops, and survives backend
-//!   death with per-shard errors + reconnect backoff.
+//!   death with per-shard errors + reconnect backoff. It runs on the
+//!   `freqywm-net` reactor core — the same accept, connection cap,
+//!   line I/O, scrape endpoint, idle reaping and drain as `freqywm
+//!   serve` — and plugs in only its routing as a `Handler`.
 //!
 //! Each backend runs `freqywm serve --listen … --shard-id i/N
 //! --data-dir <dir-i>`: the `--shard-id` gate makes misrouting loud
@@ -23,6 +26,7 @@
 //! keep durability per partition. See `docs/sharding.md` for topology,
 //! failure semantics and resharding caveats.
 
+mod config;
 pub mod ring;
 
 #[cfg(unix)]
@@ -30,13 +34,18 @@ mod router;
 #[cfg(unix)]
 pub mod signal;
 
+pub use config::RouterConfig;
 #[cfg(unix)]
-pub use router::{run_router, run_router_with_metrics, RouterConfig};
+pub use router::run_router;
 
 pub use ring::{fnv1a64, jump_hash, tenant_shard, ShardMap};
 
 #[cfg(not(unix))]
-pub fn run_router(_listener: std::net::TcpListener, _config: ()) -> std::io::Result<()> {
+pub fn run_router(
+    _listener: std::net::TcpListener,
+    _metrics_listener: Option<std::net::TcpListener>,
+    _config: RouterConfig,
+) -> std::io::Result<()> {
     Err(std::io::Error::new(
         std::io::ErrorKind::Unsupported,
         "the freqywm router tier requires a unix platform (epoll/poll)",

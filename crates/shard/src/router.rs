@@ -2,15 +2,16 @@
 //! onto N backend engine shards.
 //!
 //! The router speaks the engine's exact protocol on its client side, so
-//! clients cannot tell a router from a single engine. Internally it is
-//! the same reactor shape as `freqywm-net` (one [`Poller`], level
-//! triggered, nothing blocks), extended with an *outbound* side:
+//! clients cannot tell a router from a single engine. It runs on the
+//! `freqywm-net` reactor core ([`Core`]), which owns listeners, client
+//! I/O, connection caps, scrapes, idle reaping and the drain; the
+//! router is the [`Handler`] plugged into it and keeps only routing:
 //!
-//! * **clients** — accepted from the listener, framed with the shared
-//!   [`LineFramer`], responses kept in per-client ordered slots so
+//! * **clients** — responses kept in per-client ordered slots so
 //!   pipelined requests answer in request order even when they fan out
 //!   to different shards;
-//! * **backends** — one multiplexed, pipelined connection per shard.
+//! * **backends** — one multiplexed, pipelined connection per shard,
+//!   registered with the core's poller under handler tokens.
 //!   Each forwarded request is pushed onto that backend's in-flight
 //!   FIFO; the engine's `Session` answers in order per connection, so
 //!   FIFO position is the whole correlation protocol. Dead backends
@@ -23,44 +24,35 @@
 //!   `metrics` fans out to every live shard and merges
 //!   ([`aggregate_shard_metrics`]) with the router's own shard map
 //!   attached, `shutdown` fans out and then drains the whole tier;
-//! * **drain** — a `shutdown` op stops the listener, shuts every
+//! * **drain** — a `shutdown` op starts the core's drain, shuts every
 //!   backend down, acks the client once all backends acked, flushes and
 //!   exits. SIGTERM/SIGINT (when enabled) drain the *router only*:
 //!   in-flight work finishes, clients close, backends stay up.
 
+use crate::config::RouterConfig;
 use crate::ring::ShardMap;
 use crate::signal;
-use freqywm_net::http::HttpConn;
-use freqywm_net::{Backend, Event, Interest, LineEvent, LineFramer, Poller};
+use freqywm_net::{Core, Event, Handler, Interest, LineConn, LineEvent, Waker, HANDLER_TOKEN_BASE};
 use freqywm_obs::prom::{PromKind, PromText};
 use freqywm_service::metrics::{
-    aggregate_shard_metrics, latency_to_prom, LatencyHistogram, ShardMetricsPiece,
+    aggregate_shard_metrics, latency_to_prom, LatencyHistogram, NetCounters, ShardMetricsPiece,
 };
 use freqywm_service::proto::{
     err_response, frame_too_large_response, id_echo, json, route_of, token_eq, RouteInfo,
 };
 use json::Value;
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::os::unix::io::{AsRawFd, RawFd};
-use std::os::unix::net::UnixStream;
+use std::os::unix::io::AsRawFd;
+use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-const TOKEN_LISTENER: u64 = u64::MAX;
-const TOKEN_WAKE: u64 = u64::MAX - 1;
-const TOKEN_METRICS_LISTENER: u64 = u64::MAX - 2;
-const TOKEN_BACKEND_BASE: u64 = 1 << 40;
+/// Core alias for the router's client state.
+type RCore<'a> = Core<'a, ClientSlots>;
 
-/// Scrape connections that sent no complete request within this window
-/// are reaped (they never wait on jobs, so a fixed bound is safe).
-const HTTP_IDLE: Duration = Duration::from_secs(10);
-
-const READ_CHUNK: usize = 16 * 1024;
-const READ_BUDGET: usize = 4 * READ_CHUNK;
-const COMPACT_THRESHOLD: usize = 64 * 1024;
 /// Backend response frames (metrics blobs) may exceed client request
 /// caps; a response larger than this means the stream lost framing.
 const BACKEND_MAX_FRAME: usize = 8 << 20;
@@ -68,86 +60,13 @@ const BACKEND_MAX_FRAME: usize = 8 << 20;
 /// observed promptly even if a wake byte is lost.
 const MAX_POLL: Duration = Duration::from_millis(500);
 
-/// Router tier configuration.
-#[derive(Debug, Clone)]
-pub struct RouterConfig {
-    /// Backend engine addresses; position in the vec is the shard id
-    /// and must match each backend's `--shard-id i/N`.
-    pub shards: Vec<String>,
-    /// Optional standby address per shard (aligned with `shards`; a
-    /// short vec is padded with `None`). When health handling declares
-    /// a primary dead, the router dials the standby, issues `promote`,
-    /// and redirects the shard's traffic — requests arriving during
-    /// the switch are parked, not errored.
-    pub standbys: Vec<Option<String>>,
-    /// Concurrent client connection cap.
-    pub max_conns: usize,
-    /// Client input frame cap (same semantics as the engine serve).
-    pub max_frame: usize,
-    /// Slow-client eviction bound on unread response bytes.
-    pub max_write_buffer: usize,
-    /// Bound on a drain (shutdown op or SIGTERM) before remaining
-    /// connections are closed forcibly.
-    pub drain_timeout: Duration,
-    /// Idle gap after which a connected backend gets a `metrics`
-    /// health probe.
-    pub probe_interval: Duration,
-    /// Reconnect backoff range for dead backends.
-    pub reconnect_min: Duration,
-    pub reconnect_max: Duration,
-    /// Per-attempt bound on dialing a backend (connector thread).
-    pub connect_timeout: Duration,
-    /// How long requests may park while a standby promotion is in
-    /// progress before they error out (promotion itself keeps
-    /// retrying past this).
-    pub failover_timeout: Duration,
-    /// Client-side shared-secret auth (`hello` op / per-request
-    /// `auth`), mirroring `freqywm serve --auth-token`.
-    pub auth_token: Option<String>,
-    /// Token the router presents to backends (their `--auth-token`),
-    /// sent as a `hello` op right after each (re)connect.
-    pub shard_auth_token: Option<String>,
-    /// Poller backend selection.
-    pub backend: Backend,
-    /// Install SIGTERM/SIGINT handlers that drain the router (the CLI
-    /// turns this on; embedded/test routers leave it off).
-    pub handle_signals: bool,
-}
-
-impl RouterConfig {
-    pub fn new(shards: Vec<String>) -> Self {
-        RouterConfig {
-            shards,
-            standbys: Vec::new(),
-            max_conns: 1024,
-            max_frame: 1 << 20,
-            max_write_buffer: 4 << 20,
-            drain_timeout: Duration::from_secs(10),
-            probe_interval: Duration::from_secs(2),
-            reconnect_min: Duration::from_millis(100),
-            reconnect_max: Duration::from_secs(3),
-            connect_timeout: Duration::from_secs(1),
-            failover_timeout: Duration::from_secs(10),
-            auth_token: None,
-            shard_auth_token: None,
-            backend: Backend::Auto,
-            handle_signals: false,
-        }
-    }
-}
-
 /// Runs the router until a `shutdown` op completes its tier drain (or a
-/// drain signal, when enabled). The listener must already be bound —
-/// callers announce the address themselves.
-pub fn run_router(listener: TcpListener, config: RouterConfig) -> io::Result<()> {
-    run_router_with_metrics(listener, None, config)
-}
-
-/// [`run_router`] with an optional second listener answering HTTP
-/// `GET /metrics` with the router's tier exposition (router counters,
-/// per-shard role / log_seq / replication lag / RTT) — `freqywm router
-/// --metrics-listen`. The drain closes both listeners.
-pub fn run_router_with_metrics(
+/// drain signal, when enabled). The listeners must already be bound —
+/// callers announce the addresses themselves. With `metrics_listener`
+/// the router also answers HTTP `GET /metrics` with its tier
+/// exposition (router counters, per-shard role / log_seq / replication
+/// lag / RTT) — `freqywm router --metrics-listen`.
+pub fn run_router(
     listener: TcpListener,
     metrics_listener: Option<TcpListener>,
     config: RouterConfig,
@@ -158,8 +77,17 @@ pub fn run_router_with_metrics(
             "router needs at least one --shard backend",
         ));
     }
-    let mut router = Router::new(listener, metrics_listener, config)?;
-    let result = router.run();
+    let counters = NetCounters::default();
+    let mut core = Core::new(listener, metrics_listener, config.net.clone(), &counters)?;
+    if config.handle_signals {
+        signal::install_drain_handler(core.waker().as_raw_fd());
+    }
+    let mut router = Router::new(config, core.waker());
+    for idx in 0..router.backends.len() {
+        router.spawn_connector(idx);
+    }
+    let result = core.run(&mut router);
+    router.stop_prober();
     signal::detach_drain_handler();
     result
 }
@@ -169,37 +97,17 @@ enum CSlot {
     Pending,
 }
 
-struct ClientConn {
-    id: u64,
-    stream: TcpStream,
-    framer: LineFramer,
-    out_buf: Vec<u8>,
-    out_pos: usize,
+/// A client's ordered response slots: pipelined requests answer in
+/// request order even when they fan out to different shards.
+#[derive(Default)]
+struct ClientSlots {
     slots: VecDeque<CSlot>,
+    /// Absolute sequence number of `slots[0]`.
     base: usize,
-    eof: bool,
-    failed: bool,
     authed: bool,
-    interest: Interest,
 }
 
-impl ClientConn {
-    fn new(id: u64, stream: TcpStream, max_frame: usize) -> Self {
-        ClientConn {
-            id,
-            stream,
-            framer: LineFramer::new(max_frame),
-            out_buf: Vec::new(),
-            out_pos: 0,
-            slots: VecDeque::new(),
-            base: 0,
-            eof: false,
-            failed: false,
-            authed: false,
-            interest: Interest::READ,
-        }
-    }
-
+impl ClientSlots {
     fn push_ready(&mut self, resp: String) {
         self.slots.push_back(CSlot::Ready(resp));
     }
@@ -215,26 +123,6 @@ impl ClientConn {
     fn resolve(&mut self, seq: usize, resp: String) {
         let idx = seq - self.base;
         self.slots[idx] = CSlot::Ready(resp);
-    }
-
-    /// Moves the maximal ready prefix into the write buffer.
-    fn queue_ready(&mut self) {
-        while matches!(self.slots.front(), Some(CSlot::Ready(_))) {
-            let Some(CSlot::Ready(resp)) = self.slots.pop_front() else {
-                unreachable!("front checked above");
-            };
-            self.base += 1;
-            self.out_buf.extend_from_slice(resp.as_bytes());
-            self.out_buf.push(b'\n');
-        }
-    }
-
-    fn buffered(&self) -> usize {
-        self.out_buf.len() - self.out_pos
-    }
-
-    fn settled(&self) -> bool {
-        self.slots.is_empty() && self.buffered() == 0
     }
 }
 
@@ -278,37 +166,10 @@ struct ParkedRequest {
 const MAX_PARKED: usize = 4096;
 
 struct BackendConn {
-    stream: TcpStream,
-    framer: LineFramer,
-    out_buf: Vec<u8>,
-    out_pos: usize,
+    io: LineConn,
     /// Each entry is (send time, correlation); the send time feeds the
     /// per-backend latency histogram when the FIFO response arrives.
     inflight: VecDeque<(Instant, Pending)>,
-    eof: bool,
-    failed: bool,
-    last_activity: Instant,
-    interest: Interest,
-}
-
-impl BackendConn {
-    fn new(stream: TcpStream) -> Self {
-        BackendConn {
-            stream,
-            framer: LineFramer::new(BACKEND_MAX_FRAME),
-            out_buf: Vec::new(),
-            out_pos: 0,
-            inflight: VecDeque::new(),
-            eof: false,
-            failed: false,
-            last_activity: Instant::now(),
-            interest: Interest::READ,
-        }
-    }
-
-    fn buffered(&self) -> usize {
-        self.out_buf.len() - self.out_pos
-    }
 }
 
 struct BackendSlot {
@@ -474,30 +335,16 @@ struct RouterStats {
     inflight_failed: u64,
 }
 
-struct DrainState {
-    deadline: Instant,
-}
-
+/// The router [`Handler`]: everything the reactor core does not own.
 struct Router {
     config: RouterConfig,
     map: ShardMap,
-    poller: Poller,
-    listener: Option<TcpListener>,
-    /// HTTP `GET /metrics` scrape listener; also closed by the drain.
-    metrics_listener: Option<TcpListener>,
-    wake_rx: UnixStream,
-    wake_tx: UnixStream,
+    waker: Waker,
     connect_rx: Receiver<(usize, io::Result<TcpStream>)>,
     connect_tx: Sender<(usize, io::Result<TcpStream>)>,
-    clients: HashMap<RawFd, ClientConn>,
-    client_fds: HashMap<u64, RawFd>,
-    /// Scrape connections, disjoint from `clients` by fd.
-    http_conns: HashMap<RawFd, HttpConn>,
-    next_client: u64,
     backends: Vec<BackendSlot>,
     fanouts: HashMap<u64, Fanout>,
     next_fanout: u64,
-    drain: Option<DrainState>,
     stats: RouterStats,
     /// Shared with the standby prober thread (None when no standbys).
     prober: Option<(Arc<StandbyProberState>, std::thread::JoinHandle<()>)>,
@@ -539,78 +386,6 @@ fn err_with_part(id_part: &str, msg: &str) -> String {
     )
 }
 
-/// Non-blocking bounded read into a framer; returns the completed
-/// events. Shared by the client and backend sides. `deliver_tail`
-/// controls EOF handling: client input honours a final line without a
-/// trailing newline (FrameReader parity), but a backend *response*
-/// with no newline is by definition truncated mid-write — delivering
-/// it would hand a client garbage as its answer, so the backend side
-/// discards it and lets the teardown error the in-flight slot instead.
-fn read_events(
-    stream: &mut TcpStream,
-    framer: &mut LineFramer,
-    eof: &mut bool,
-    failed: &mut bool,
-    deliver_tail: bool,
-) -> Vec<LineEvent> {
-    let mut out = Vec::new();
-    let mut chunk = [0u8; READ_CHUNK];
-    let mut budget = READ_BUDGET;
-    while budget > 0 {
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                *eof = true;
-                if deliver_tail {
-                    framer.finish(|e| out.push(e));
-                }
-                break;
-            }
-            Ok(n) => {
-                framer.push(&chunk[..n], |e| out.push(e));
-                budget = budget.saturating_sub(n);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                *failed = true;
-                break;
-            }
-        }
-    }
-    out
-}
-
-/// Non-blocking flush of a positioned write buffer.
-fn flush_stream(
-    stream: &mut TcpStream,
-    out_buf: &mut Vec<u8>,
-    out_pos: &mut usize,
-    failed: &mut bool,
-) {
-    while *out_pos < out_buf.len() {
-        match stream.write(&out_buf[*out_pos..]) {
-            Ok(0) => {
-                *failed = true;
-                break;
-            }
-            Ok(n) => *out_pos += n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                *failed = true;
-                break;
-            }
-        }
-    }
-    if *out_pos == out_buf.len() {
-        out_buf.clear();
-        *out_pos = 0;
-    } else if *out_pos > COMPACT_THRESHOLD {
-        out_buf.drain(..*out_pos);
-        *out_pos = 0;
-    }
-}
-
 fn connect_backend(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
     let resolved = addr
         .to_socket_addrs()?
@@ -620,25 +395,7 @@ fn connect_backend(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
 }
 
 impl Router {
-    fn new(
-        listener: TcpListener,
-        metrics_listener: Option<TcpListener>,
-        config: RouterConfig,
-    ) -> io::Result<Self> {
-        listener.set_nonblocking(true)?;
-        let (wake_rx, wake_tx) = UnixStream::pair()?;
-        wake_rx.set_nonblocking(true)?;
-        wake_tx.set_nonblocking(true)?;
-        let mut poller = Poller::new(config.backend)?;
-        poller.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
-        poller.register(wake_rx.as_raw_fd(), TOKEN_WAKE, Interest::READ)?;
-        if let Some(ml) = &metrics_listener {
-            ml.set_nonblocking(true)?;
-            poller.register(ml.as_raw_fd(), TOKEN_METRICS_LISTENER, Interest::READ)?;
-        }
-        if config.handle_signals {
-            signal::install_drain_handler(wake_tx.as_raw_fd());
-        }
+    fn new(config: RouterConfig, waker: Waker) -> Self {
         let (connect_tx, connect_rx) = channel();
         let now = Instant::now();
         let mut standbys = config.standbys.clone();
@@ -683,131 +440,31 @@ impl Router {
             })
             .collect();
         let map = ShardMap::new(config.shards.clone());
-        Ok(Router {
+        Router {
             config,
             map,
-            poller,
-            listener: Some(listener),
-            metrics_listener,
-            wake_rx,
-            wake_tx,
+            waker,
             connect_rx,
             connect_tx,
-            clients: HashMap::new(),
-            client_fds: HashMap::new(),
-            http_conns: HashMap::new(),
-            next_client: 1,
             backends,
             fanouts: HashMap::new(),
             next_fanout: 1,
-            drain: None,
             stats: RouterStats::default(),
             prober,
-        })
+        }
     }
 
-    fn run(&mut self) -> io::Result<()> {
-        let result = self.run_inner();
+    fn stop_prober(&mut self) {
         if let Some((state, handle)) = self.prober.take() {
             *state.stop.lock().expect("prober stop") = true;
             state.stopped.notify_all();
             let _ = handle.join();
         }
-        result
-    }
-
-    fn run_inner(&mut self) -> io::Result<()> {
-        for idx in 0..self.backends.len() {
-            self.spawn_connector(idx);
-        }
-        let mut events: Vec<Event> = Vec::new();
-        loop {
-            let timeout = self.poll_timeout();
-            self.poller.wait(&mut events, Some(timeout))?;
-            let batch: Vec<Event> = events.clone();
-            // Clients can close mid-batch (error, eviction, settle),
-            // and an accept later in the same batch can reuse the
-            // freed fd — snapshot fd→client-id so a stale event for
-            // the old occupant is never applied to the new one.
-            let batch_ids: HashMap<RawFd, u64> =
-                self.clients.iter().map(|(&fd, c)| (fd, c.id)).collect();
-            for ev in batch {
-                match ev.token {
-                    TOKEN_LISTENER => self.accept_ready(),
-                    TOKEN_METRICS_LISTENER => self.accept_metrics_ready(),
-                    TOKEN_WAKE => self.drain_wake(),
-                    t if t >= TOKEN_BACKEND_BASE => {
-                        self.backend_ready((t - TOKEN_BACKEND_BASE) as usize, ev)
-                    }
-                    t => {
-                        let fd = t as RawFd;
-                        if self.http_conns.contains_key(&fd) {
-                            self.http_event(fd, ev);
-                        } else if self.clients.get(&fd).map(|c| c.id) == batch_ids.get(&fd).copied()
-                        {
-                            self.client_ready(fd, ev);
-                        }
-                    }
-                }
-            }
-            self.drain_connector_results();
-            if self.config.handle_signals && signal::drain_requested() && self.drain.is_none() {
-                // Signal drain: router only. Backends stay up — the
-                // shutdown op is the way to take the whole tier down.
-                self.start_drain();
-            }
-            self.tick_reconnects();
-            self.tick_probes();
-            self.tick_failovers();
-            self.tick_http_idle();
-            if let Some(deadline) = self.drain.as_ref().map(|d| d.deadline) {
-                // Settled clients were closed as they drained; what's
-                // left is either done or past the deadline.
-                if self.clients.is_empty() || Instant::now() >= deadline {
-                    for fd in self.clients.keys().copied().collect::<Vec<_>>() {
-                        self.close_client(fd);
-                    }
-                    for fd in self.http_conns.keys().copied().collect::<Vec<_>>() {
-                        self.close_http(fd);
-                    }
-                    return Ok(());
-                }
-            }
-        }
     }
 
     // ----- timers -----------------------------------------------------
 
-    fn poll_timeout(&self) -> Duration {
-        let now = Instant::now();
-        let mut timeout = MAX_POLL;
-        if let Some(d) = &self.drain {
-            timeout = timeout.min(d.deadline.saturating_duration_since(now));
-        }
-        for b in &self.backends {
-            if b.conn.is_none() && !b.connecting {
-                timeout = timeout.min(b.next_attempt.saturating_duration_since(now));
-            }
-            if let Some(conn) = &b.conn {
-                if conn.inflight.is_empty() {
-                    let probe_at = conn.last_activity + self.config.probe_interval;
-                    timeout = timeout.min(probe_at.saturating_duration_since(now));
-                }
-            }
-            if let Some(deadline) = b.promoting {
-                if !b.parked.is_empty() {
-                    // Wake in time to error expired parked requests.
-                    timeout = timeout.min(deadline.saturating_duration_since(now));
-                }
-            }
-        }
-        timeout
-    }
-
     fn tick_reconnects(&mut self) {
-        if self.drain.is_some() {
-            return;
-        }
         let now = Instant::now();
         for idx in 0..self.backends.len() {
             let b = &self.backends[idx];
@@ -817,105 +474,18 @@ impl Router {
         }
     }
 
-    fn tick_probes(&mut self) {
-        if self.drain.is_some() {
-            return;
-        }
+    fn tick_probes(&mut self, core: &mut RCore) {
         for idx in 0..self.backends.len() {
             let due = match &self.backends[idx].conn {
                 Some(conn) => {
                     conn.inflight.is_empty()
-                        && conn.last_activity.elapsed() >= self.config.probe_interval
+                        && conn.io.last_activity.elapsed() >= self.config.probe_interval
                 }
                 None => false,
             };
             if due {
-                self.send_backend(idx, "{\"op\":\"metrics\"}", Pending::Probe);
+                self.send_backend(core, idx, "{\"op\":\"metrics\"}", Pending::Probe);
             }
-        }
-    }
-
-    // ----- scrape endpoint --------------------------------------------
-
-    /// Accepts pending scrape connections (shared cap with clients).
-    fn accept_metrics_ready(&mut self) {
-        loop {
-            let Some(listener) = &self.metrics_listener else {
-                return;
-            };
-            match listener.accept() {
-                Ok((stream, _addr)) => {
-                    if self.clients.len() + self.http_conns.len() >= self.config.max_conns {
-                        continue;
-                    }
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    let fd = stream.as_raw_fd();
-                    if self.poller.register(fd, fd as u64, Interest::READ).is_err() {
-                        continue;
-                    }
-                    self.http_conns.insert(fd, HttpConn::new(stream));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            }
-        }
-    }
-
-    fn http_event(&mut self, fd: RawFd, ev: Event) {
-        // Rendered up front: the exposition is cheap, and the borrow
-        // can't overlap the connection map.
-        let body = self.router_prom();
-        let Some(conn) = self.http_conns.get_mut(&fd) else {
-            return;
-        };
-        if ev.readable && !conn.responded {
-            conn.read_ready(|| body);
-        } else if ev.hangup {
-            conn.failed = true;
-        }
-        if ev.writable || conn.responded {
-            conn.flush();
-        }
-        if conn.failed || conn.settled() {
-            self.close_http(fd);
-            return;
-        }
-        let want = Interest {
-            readable: !conn.responded,
-            writable: conn.buffered() > 0,
-        };
-        if want != conn.interest {
-            if self.poller.modify(fd, fd as u64, want).is_ok() {
-                conn.interest = want;
-            } else {
-                self.close_http(fd);
-            }
-        }
-    }
-
-    fn close_http(&mut self, fd: RawFd) {
-        if self.http_conns.remove(&fd).is_some() {
-            let _ = self.poller.deregister(fd);
-        }
-    }
-
-    fn tick_http_idle(&mut self) {
-        if self.http_conns.is_empty() {
-            return;
-        }
-        let now = Instant::now();
-        let expired: Vec<RawFd> = self
-            .http_conns
-            .iter()
-            .filter(|(_, c)| now.duration_since(c.last_activity) >= HTTP_IDLE)
-            .map(|(&fd, _)| fd)
-            .collect();
-        for fd in expired {
-            self.close_http(fd);
         }
     }
 
@@ -942,7 +512,7 @@ impl Router {
     /// *engine* metrics are not re-exported here — scrape each engine's
     /// own `--metrics-listen` for those; this endpoint is the router's
     /// view of the tier.
-    fn router_prom(&self) -> String {
+    fn router_prom(&self, core: &RCore) -> String {
         let mut w = PromText::new();
         w.family(
             "freqywm_router_info",
@@ -959,6 +529,11 @@ impl Router {
                 "freqywm_router_clients_accepted_total",
                 "Client connections accepted.",
                 self.stats.accepted,
+            ),
+            (
+                "freqywm_router_clients_rejected_total",
+                "Client connections refused at the connection cap.",
+                core.counters().rejected.load(Ordering::Relaxed),
             ),
             (
                 "freqywm_router_forwarded_total",
@@ -982,13 +557,13 @@ impl Router {
             "freqywm_router_clients_active",
             PromKind::Gauge,
             "Currently connected clients.",
-            self.clients.len() as f64,
+            core.client_count() as f64,
         );
         w.scalar(
             "freqywm_router_draining",
             PromKind::Gauge,
             "1 while the router is draining.",
-            if self.drain.is_some() { 1.0 } else { 0.0 },
+            if core.draining() { 1.0 } else { 0.0 },
         );
         let probes = self.standby_probes();
         let shard_labels: Vec<String> = (0..self.backends.len()).map(|i| i.to_string()).collect();
@@ -1115,19 +690,7 @@ impl Router {
         w.finish()
     }
 
-    // ----- wakeup + connectors ----------------------------------------
-
-    fn drain_wake(&mut self) {
-        let mut buf = [0u8; 256];
-        loop {
-            match (&self.wake_rx).read(&mut buf) {
-                Ok(0) => return,
-                Ok(_) => continue,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            }
-        }
-    }
+    // ----- connectors -------------------------------------------------
 
     /// Dials shard `idx` on a throwaway thread; the result arrives via
     /// the channel + wake pipe. The reactor never blocks in connect(2).
@@ -1136,41 +699,44 @@ impl Router {
         let addr = self.backends[idx].addr.clone();
         let timeout = self.config.connect_timeout;
         let tx = self.connect_tx.clone();
-        let wake = self.wake_tx.try_clone().ok();
+        let waker = self.waker.clone();
         std::thread::spawn(move || {
             let result = connect_backend(&addr, timeout);
             let _ = tx.send((idx, result));
-            if let Some(wake) = wake {
-                let _ = (&wake).write(&[1]);
-            }
+            waker.wake();
         });
     }
 
-    fn drain_connector_results(&mut self) {
+    fn drain_connector_results(&mut self, core: &mut RCore) {
         while let Ok((idx, result)) = self.connect_rx.try_recv() {
             self.backends[idx].connecting = false;
             match result {
-                Ok(stream) if self.drain.is_none() => self.install_backend(idx, stream),
+                Ok(stream) if !core.draining() => self.install_backend(core, idx, stream),
                 Ok(_dropped_during_drain) => {}
                 Err(_) => self.schedule_reconnect(idx),
             }
         }
     }
 
-    fn install_backend(&mut self, idx: usize, stream: TcpStream) {
+    fn install_backend(&mut self, core: &mut RCore, idx: usize, stream: TcpStream) {
         if stream.set_nonblocking(true).is_err() {
             return self.schedule_reconnect(idx);
         }
         let _ = stream.set_nodelay(true);
         let fd = stream.as_raw_fd();
-        if self
-            .poller
-            .register(fd, TOKEN_BACKEND_BASE + idx as u64, Interest::READ)
+        if core
+            .poller()
+            .register(fd, HANDLER_TOKEN_BASE + idx as u64, Interest::READ)
             .is_err()
         {
             return self.schedule_reconnect(idx);
         }
-        self.backends[idx].conn = Some(BackendConn::new(stream));
+        self.backends[idx].conn = Some(BackendConn {
+            // A backend tail with no newline is a response truncated
+            // mid-write — never a deliverable line.
+            io: LineConn::new(stream, BACKEND_MAX_FRAME, false),
+            inflight: VecDeque::new(),
+        });
         // Backoff is NOT reset here: a crash-looping backend accepts
         // then dies before ever answering, and resetting on connect
         // would turn that into a tight dial loop. Only a successful
@@ -1183,12 +749,12 @@ impl Router {
                 "{{\"op\":\"hello\",\"token\":\"{}\"}}",
                 json::escape(&token)
             );
-            self.send_backend(idx, &hello, Pending::Hello);
+            self.send_backend(core, idx, &hello, Pending::Hello);
         }
         if self.backends[idx].promoting.is_some() {
-            self.send_backend(idx, "{\"op\":\"promote\"}", Pending::Promote);
+            self.send_backend(core, idx, "{\"op\":\"promote\"}", Pending::Promote);
         }
-        self.send_backend(idx, "{\"op\":\"metrics\"}", Pending::Probe);
+        self.send_backend(core, idx, "{\"op\":\"metrics\"}", Pending::Probe);
     }
 
     fn schedule_reconnect(&mut self, idx: usize) {
@@ -1199,28 +765,22 @@ impl Router {
 
     // ----- backend side -----------------------------------------------
 
-    fn send_backend(&mut self, idx: usize, line: &str, pending: Pending) {
+    fn send_backend(&mut self, core: &mut RCore, idx: usize, line: &str, pending: Pending) {
         let Some(conn) = self.backends[idx].conn.as_mut() else {
             return;
         };
-        conn.out_buf.extend_from_slice(line.as_bytes());
-        conn.out_buf.push(b'\n');
+        conn.io.queue(line);
         conn.inflight.push_back((Instant::now(), pending));
-        flush_stream(
-            &mut conn.stream,
-            &mut conn.out_buf,
-            &mut conn.out_pos,
-            &mut conn.failed,
-        );
-        conn.last_activity = Instant::now();
-        if conn.failed {
-            self.fail_backend(idx);
+        conn.io.flush();
+        conn.io.last_activity = Instant::now();
+        if conn.io.failed {
+            self.fail_backend(core, idx);
         } else {
-            self.update_backend_interest(idx);
+            self.update_backend_interest(core, idx);
         }
     }
 
-    fn backend_ready(&mut self, idx: usize, ev: Event) {
+    fn backend_ready(&mut self, core: &mut RCore, idx: usize, ev: Event) {
         if idx >= self.backends.len() {
             return;
         }
@@ -1230,52 +790,38 @@ impl Router {
                 return;
             };
             if ev.readable {
-                let events = read_events(
-                    &mut conn.stream,
-                    &mut conn.framer,
-                    &mut conn.eof,
-                    &mut conn.failed,
-                    // A backend tail with no newline is a response
-                    // truncated mid-write — never a deliverable line.
-                    false,
-                );
-                conn.last_activity = Instant::now();
-                for e in events {
-                    match e {
-                        LineEvent::Line(line) => lines.push(line),
-                        // A response that overflows the cap means the
-                        // stream lost framing; resync via reconnect.
-                        LineEvent::Oversized => conn.failed = true,
-                    }
-                }
+                let mut oversized = false;
+                conn.io.read_ready(|e| match e {
+                    LineEvent::Line(line) => lines.push(line),
+                    // A response that overflows the cap means the
+                    // stream lost framing; resync via reconnect.
+                    LineEvent::Oversized => oversized = true,
+                });
+                conn.io.failed |= oversized;
+                conn.io.last_activity = Instant::now();
             }
             if ev.hangup {
-                conn.eof = true;
+                conn.io.eof = true;
             }
-            if ev.writable && !conn.failed {
-                flush_stream(
-                    &mut conn.stream,
-                    &mut conn.out_buf,
-                    &mut conn.out_pos,
-                    &mut conn.failed,
-                );
+            if ev.writable && !conn.io.failed {
+                conn.io.flush();
             }
         }
         for line in lines {
-            self.backend_line(idx, line);
+            self.backend_line(core, idx, line);
         }
         let dead = match self.backends[idx].conn.as_ref() {
-            Some(conn) => conn.failed || conn.eof,
+            Some(conn) => conn.io.failed || conn.io.eof,
             None => false,
         };
         if dead {
-            self.fail_backend(idx);
+            self.fail_backend(core, idx);
         } else {
-            self.update_backend_interest(idx);
+            self.update_backend_interest(core, idx);
         }
     }
 
-    fn backend_line(&mut self, idx: usize, line: String) {
+    fn backend_line(&mut self, core: &mut RCore, idx: usize, line: String) {
         let pending = match self.backends[idx].conn.as_mut() {
             Some(conn) => conn.inflight.pop_front(),
             None => None,
@@ -1289,13 +835,13 @@ impl Router {
                 // A response with nothing in flight: the stream is out
                 // of sync; reconnect to resync.
                 if let Some(conn) = self.backends[idx].conn.as_mut() {
-                    conn.failed = true;
+                    conn.io.failed = true;
                 }
             }
             Some(Pending::Client { client, seq, .. }) => {
-                self.resolve_client_slot(client, seq, line)
+                self.resolve_client_slot(core, client, seq, line)
             }
-            Some(Pending::Fanout { fanout }) => self.fanout_piece(fanout, idx, Some(line)),
+            Some(Pending::Fanout { fanout }) => self.fanout_piece(core, fanout, idx, Some(line)),
             Some(Pending::Probe) => {
                 // Health is earned by a *successful* probe response.
                 // Any line used to flip `healthy`, so a backend
@@ -1321,7 +867,7 @@ impl Router {
                 }
             }
             Some(Pending::Hello) => {}
-            Some(Pending::Promote) => self.finish_promotion(idx, line_ok(&line)),
+            Some(Pending::Promote) => self.finish_promotion(core, idx, line_ok(&line)),
         }
     }
 
@@ -1343,7 +889,7 @@ impl Router {
     /// error them and leave the backend serving whatever it still can
     /// (reads on a still-follower engine), with errors scoped per
     /// request rather than per shard.
-    fn finish_promotion(&mut self, idx: usize, ok: bool) {
+    fn finish_promotion(&mut self, core: &mut RCore, idx: usize, ok: bool) {
         self.backends[idx].promoting = None;
         let addr = self.backends[idx].addr.clone();
         if ok {
@@ -1354,13 +900,14 @@ impl Router {
                 json::escape(&addr),
                 self.backends[idx].parked.len()
             );
-            self.flush_parked(idx, None);
+            self.flush_parked(core, idx, None);
         } else {
             eprintln!(
                 "{{\"event\":\"failover_promote_refused\",\"shard\":{idx},\"addr\":\"{}\"}}",
                 json::escape(&addr)
             );
             self.flush_parked(
+                core,
                 idx,
                 Some(format!(
                     "shard {idx} ({addr}) failover failed: promote refused"
@@ -1373,7 +920,7 @@ impl Router {
     /// (`error: None`) or resolves each with `error`. If the connection
     /// dies mid-flush the remainder error too — a parked slot must
     /// never be dropped silently (the client would hang forever).
-    fn flush_parked(&mut self, idx: usize, error: Option<String>) {
+    fn flush_parked(&mut self, core: &mut RCore, idx: usize, error: Option<String>) {
         let parked: Vec<ParkedRequest> = self.backends[idx].parked.drain(..).collect();
         for p in parked {
             let lost = error.is_none() && self.backends[idx].conn.is_none();
@@ -1382,6 +929,7 @@ impl Router {
                     self.backends[idx].routed += 1;
                     self.stats.forwarded += 1;
                     self.send_backend(
+                        core,
                         idx,
                         &p.line,
                         Pending::Client {
@@ -1394,11 +942,16 @@ impl Router {
                 (None, true) => {
                     let msg = format!("shard {idx} ({}) connection lost", self.backends[idx].addr);
                     self.stats.refused += 1;
-                    self.resolve_client_slot(p.client, p.seq, err_with_part(&p.id_part, &msg));
+                    self.resolve_client_slot(
+                        core,
+                        p.client,
+                        p.seq,
+                        err_with_part(&p.id_part, &msg),
+                    );
                 }
                 (Some(msg), _) => {
                     self.stats.refused += 1;
-                    self.resolve_client_slot(p.client, p.seq, err_with_part(&p.id_part, msg));
+                    self.resolve_client_slot(core, p.client, p.seq, err_with_part(&p.id_part, msg));
                 }
             }
         }
@@ -1410,11 +963,11 @@ impl Router {
     /// begins (standby configured) or a reconnect is scheduled with
     /// backoff. In-flight losses are counted (`inflight_failed`) so
     /// failover tests can assert errors ≤ in-flight at kill time.
-    fn fail_backend(&mut self, idx: usize) {
+    fn fail_backend(&mut self, core: &mut RCore, idx: usize) {
         let Some(mut conn) = self.backends[idx].conn.take() else {
             return;
         };
-        let _ = self.poller.deregister(conn.stream.as_raw_fd());
+        let _ = core.poller().deregister(conn.io.fd());
         self.backends[idx].healthy = false;
         let addr = self.backends[idx].addr.clone();
         for (_sent, pending) in conn.inflight.drain(..) {
@@ -1426,9 +979,9 @@ impl Router {
                 } => {
                     let msg = format!("shard {idx} ({addr}) connection lost");
                     self.stats.inflight_failed += 1;
-                    self.resolve_client_slot(client, seq, err_with_part(&id_part, &msg));
+                    self.resolve_client_slot(core, client, seq, err_with_part(&id_part, &msg));
                 }
-                Pending::Fanout { fanout } => self.fanout_piece(fanout, idx, None),
+                Pending::Fanout { fanout } => self.fanout_piece(core, fanout, idx, None),
                 Pending::Probe | Pending::Hello => {}
                 // The promote ack died with the connection; `promoting`
                 // stays set, so the next (re)connect re-issues it — the
@@ -1436,7 +989,7 @@ impl Router {
                 Pending::Promote => {}
             }
         }
-        if self.drain.is_none() {
+        if !core.draining() {
             if self.backends[idx].promoting.is_none() {
                 if let Some(standby) = self.backends[idx].standby.take() {
                     return self.begin_failover(idx, standby);
@@ -1474,7 +1027,7 @@ impl Router {
     /// Errors out parked requests whose failover window expired. The
     /// promotion itself keeps retrying — only the waiting clients give
     /// up, exactly as if the shard were down.
-    fn tick_failovers(&mut self) {
+    fn tick_failovers(&mut self, core: &mut RCore) {
         let now = Instant::now();
         for idx in 0..self.backends.len() {
             let expired = self.backends[idx]
@@ -1486,116 +1039,37 @@ impl Router {
                     "shard {idx} ({}) failover timed out",
                     self.backends[idx].addr
                 );
-                self.flush_parked(idx, Some(msg));
+                self.flush_parked(core, idx, Some(msg));
             }
         }
     }
 
-    fn update_backend_interest(&mut self, idx: usize) {
+    fn update_backend_interest(&mut self, core: &mut RCore, idx: usize) {
         let Some(conn) = self.backends[idx].conn.as_mut() else {
             return;
         };
         let want = Interest {
             readable: true,
-            writable: conn.buffered() > 0,
+            writable: conn.io.buffered() > 0,
         };
-        if want != conn.interest {
-            let fd = conn.stream.as_raw_fd();
-            if self
-                .poller
-                .modify(fd, TOKEN_BACKEND_BASE + idx as u64, want)
-                .is_ok()
-            {
-                conn.interest = want;
-            } else {
-                self.fail_backend(idx);
-            }
+        let token = HANDLER_TOKEN_BASE + idx as u64;
+        if conn.io.set_interest(core.poller(), token, want).is_err() {
+            self.fail_backend(core, idx);
         }
     }
 
     // ----- client side ------------------------------------------------
 
-    fn accept_ready(&mut self) {
-        loop {
-            let Some(listener) = &self.listener else {
-                return;
-            };
-            match listener.accept() {
-                Ok((stream, _addr)) => {
-                    if self.clients.len() >= self.config.max_conns {
-                        continue; // dropped: peer sees an immediate close
-                    }
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    let fd = stream.as_raw_fd();
-                    if self.poller.register(fd, fd as u64, Interest::READ).is_err() {
-                        continue;
-                    }
-                    let id = self.next_client;
-                    self.next_client += 1;
-                    self.stats.accepted += 1;
-                    self.clients
-                        .insert(fd, ClientConn::new(id, stream, self.config.max_frame));
-                    self.client_fds.insert(id, fd);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            }
-        }
-    }
-
-    fn client_ready(&mut self, fd: RawFd, ev: Event) {
-        let mut incoming = Vec::new();
-        {
-            let Some(conn) = self.clients.get_mut(&fd) else {
-                return;
-            };
-            if ev.readable && !conn.eof && self.drain.is_none() {
-                let events = read_events(
-                    &mut conn.stream,
-                    &mut conn.framer,
-                    &mut conn.eof,
-                    &mut conn.failed,
-                    true,
-                );
-                incoming = events;
-            } else if ev.hangup {
-                conn.eof = true;
-            }
-            if ev.writable && !conn.failed {
-                flush_stream(
-                    &mut conn.stream,
-                    &mut conn.out_buf,
-                    &mut conn.out_pos,
-                    &mut conn.failed,
-                );
-            }
-        }
-        for event in incoming {
-            match event {
-                LineEvent::Line(line) => self.handle_client_line(fd, &line),
-                LineEvent::Oversized => {
-                    if let Some(conn) = self.clients.get_mut(&fd) {
-                        conn.push_ready(frame_too_large_response(self.config.max_frame));
-                    }
-                }
-            }
-        }
-        self.pump_client(fd);
-    }
-
-    fn handle_client_line(&mut self, fd: RawFd, line: &str) {
+    fn handle_client_line(&mut self, core: &mut RCore, client: u64, line: &str) {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             return;
         }
-        let Some(conn) = self.clients.get_mut(&fd) else {
+        let draining = core.draining();
+        let Some(conn) = core.client_mut(client).map(|c| &mut c.state) else {
             return;
         };
-        if self.drain.is_some() {
+        if draining {
             let (id, _) = freqywm_service::proto::plan(line);
             conn.push_ready(err_response(id.as_ref(), "router draining"));
             self.stats.refused += 1;
@@ -1611,7 +1085,7 @@ impl Router {
         };
         let id = req.get("id").cloned();
         // Client-side auth gate, mirroring the engine Session's.
-        if let Some(token) = &self.config.auth_token {
+        if let Some(token) = &self.config.net.auth_token {
             if !conn.authed {
                 let is_hello = req.get("op").and_then(Value::as_str) == Some("hello");
                 if is_hello {
@@ -1645,21 +1119,18 @@ impl Router {
             RouteInfo::Tenant(tenant) => {
                 let shard = self.map.shard_of(&tenant);
                 let line = ensure_trace(line, &req);
-                self.forward(fd, shard, &line, id.as_ref());
+                self.forward(core, client, shard, &line, id.as_ref());
             }
             RouteInfo::TenantPair(a, b) => {
                 let (sa, sb) = (self.map.shard_of(&a), self.map.shard_of(&b));
                 if sa == sb {
                     let line = ensure_trace(line, &req);
-                    self.forward(fd, sa, &line, id.as_ref());
+                    self.forward(core, client, sa, &line, id.as_ref());
                 } else {
                     let msg = format!(
                         "unroutable dispute: tenants {a:?} (shard {sa}) and {b:?} \
                          (shard {sb}) live on different shards"
                     );
-                    let Some(conn) = self.clients.get_mut(&fd) else {
-                        return;
-                    };
                     conn.push_ready(err_response(id.as_ref(), &msg));
                     self.stats.refused += 1;
                 }
@@ -1674,21 +1145,18 @@ impl Router {
                     Some("history") => FanoutKind::History,
                     _ => FanoutKind::Metrics,
                 };
-                self.start_fanout(fd, id.as_ref(), kind, line);
+                self.start_fanout(core, client, id.as_ref(), kind, line);
             }
             RouteInfo::Shutdown => {
                 // Tier shutdown: drain the router AND take the backends
                 // down; the ack lands once every live backend acked.
                 // The fanout reserves the requester's response slot
-                // FIRST — start_drain closes settled clients, and the
+                // FIRST — the drain closes settled clients, and the
                 // requester must survive to receive the ack.
-                self.start_fanout(fd, id.as_ref(), FanoutKind::Shutdown, line);
-                self.start_drain();
+                self.start_fanout(core, client, id.as_ref(), FanoutKind::Shutdown, line);
+                self.start_drain(core);
             }
             RouteInfo::Local => {
-                let Some(conn) = self.clients.get_mut(&fd) else {
-                    return;
-                };
                 conn.push_ready(format!(
                     "{{\"ok\":true{},\"op\":\"hello\",\"router\":true,\"shards\":{}}}",
                     id_echo(id.as_ref()),
@@ -1696,9 +1164,6 @@ impl Router {
                 ));
             }
             RouteInfo::Unroutable(msg) => {
-                let Some(conn) = self.clients.get_mut(&fd) else {
-                    return;
-                };
                 conn.push_ready(err_response(id.as_ref(), &msg));
                 self.stats.refused += 1;
             }
@@ -1710,13 +1175,19 @@ impl Router {
     /// (released when the standby's promotion acks); a down shard with
     /// no failover in progress answers immediately with a protocol
     /// error — errors are scoped to the shard, never the tier.
-    fn forward(&mut self, fd: RawFd, shard: usize, line: &str, id: Option<&Value>) {
+    fn forward(
+        &mut self,
+        core: &mut RCore,
+        client: u64,
+        shard: usize,
+        line: &str,
+        id: Option<&Value>,
+    ) {
         let id_part = id_echo(id);
-        let Some(conn) = self.clients.get_mut(&fd) else {
+        let Some(c) = core.client_mut(client) else {
             return;
         };
-        let client = conn.id;
-        let seq = conn.push_pending();
+        let seq = c.state.push_pending();
         if let Some(deadline) = self.backends[shard].promoting {
             if Instant::now() < deadline && self.backends[shard].parked.len() < MAX_PARKED {
                 self.backends[shard].parked.push_back(ParkedRequest {
@@ -1731,13 +1202,13 @@ impl Router {
                 "shard {shard} ({}) failover in progress",
                 self.backends[shard].addr
             );
-            self.resolve_client_slot(client, seq, err_with_part(&id_part, &msg));
+            self.resolve_client_slot(core, client, seq, err_with_part(&id_part, &msg));
             self.stats.refused += 1;
             return;
         }
         if self.backends[shard].conn.is_none() {
             let msg = format!("shard {shard} ({}) unavailable", self.backends[shard].addr);
-            self.resolve_client_slot(client, seq, err_with_part(&id_part, &msg));
+            self.resolve_client_slot(core, client, seq, err_with_part(&id_part, &msg));
             self.stats.refused += 1;
             return;
         }
@@ -1748,16 +1219,22 @@ impl Router {
             seq,
             id_part,
         };
-        self.send_backend(shard, line, pending);
+        self.send_backend(core, shard, line, pending);
     }
 
-    fn start_fanout(&mut self, fd: RawFd, id: Option<&Value>, kind: FanoutKind, line: &str) {
+    fn start_fanout(
+        &mut self,
+        core: &mut RCore,
+        client: u64,
+        id: Option<&Value>,
+        kind: FanoutKind,
+        line: &str,
+    ) {
         let id_part = id_echo(id);
-        let Some(conn) = self.clients.get_mut(&fd) else {
+        let Some(c) = core.client_mut(client) else {
             return;
         };
-        let client = conn.id;
-        let seq = conn.push_pending();
+        let seq = c.state.push_pending();
         let connected: Vec<usize> = (0..self.backends.len())
             .filter(|&i| self.backends[i].conn.is_some())
             .collect();
@@ -1782,12 +1259,18 @@ impl Router {
             },
         );
         for idx in connected {
-            self.send_backend(idx, &request, Pending::Fanout { fanout: fanout_id });
+            self.send_backend(core, idx, &request, Pending::Fanout { fanout: fanout_id });
         }
-        self.try_finish_fanout(fanout_id);
+        self.try_finish_fanout(core, fanout_id);
     }
 
-    fn fanout_piece(&mut self, fanout_id: u64, shard: usize, line: Option<String>) {
+    fn fanout_piece(
+        &mut self,
+        core: &mut RCore,
+        fanout_id: u64,
+        shard: usize,
+        line: Option<String>,
+    ) {
         let Some(f) = self.fanouts.get_mut(&fanout_id) else {
             return;
         };
@@ -1795,10 +1278,10 @@ impl Router {
             f.pieces[shard] = json::parse(&line).ok();
         }
         f.remaining = f.remaining.saturating_sub(1);
-        self.try_finish_fanout(fanout_id);
+        self.try_finish_fanout(core, fanout_id);
     }
 
-    fn try_finish_fanout(&mut self, fanout_id: u64) {
+    fn try_finish_fanout(&mut self, core: &mut RCore, fanout_id: u64) {
         let done = self
             .fanouts
             .get(&fanout_id)
@@ -1963,114 +1446,140 @@ impl Router {
                     concat!(
                         "{{\"ok\":true{},\"op\":\"metrics\",\"scheme\":\"jump\",",
                         "\"router\":{{\"clients_accepted\":{},\"clients_active\":{},",
+                        "\"clients_rejected\":{},",
                         "\"forwarded\":{},\"refused\":{},\"inflight_failed\":{},",
                         "\"draining\":{}}},",
                         "\"shard_map\":[{}],\"metrics\":{}}}"
                     ),
                     f.id_part,
                     self.stats.accepted,
-                    self.clients.len(),
+                    core.client_count(),
+                    core.counters().rejected.load(Ordering::Relaxed),
                     self.stats.forwarded,
                     self.stats.refused,
                     self.stats.inflight_failed,
-                    self.drain.is_some(),
+                    core.draining(),
                     shard_map.join(","),
                     aggregate_shard_metrics(&pieces),
                 )
             }
         };
-        self.resolve_client_slot(f.client, f.seq, resp);
+        self.resolve_client_slot(core, f.client, f.seq, resp);
     }
 
-    fn resolve_client_slot(&mut self, client: u64, seq: usize, resp: String) {
-        let Some(&fd) = self.client_fds.get(&client) else {
-            return; // client died before its response arrived
-        };
-        if let Some(conn) = self.clients.get_mut(&fd) {
-            conn.resolve(seq, resp);
-        }
-        self.pump_client(fd);
-    }
-
-    fn pump_client(&mut self, fd: RawFd) {
-        let close = {
-            let Some(conn) = self.clients.get_mut(&fd) else {
-                return;
-            };
-            conn.queue_ready();
-            if !conn.failed {
-                flush_stream(
-                    &mut conn.stream,
-                    &mut conn.out_buf,
-                    &mut conn.out_pos,
-                    &mut conn.failed,
-                );
-            }
-            conn.failed
-                || conn.buffered() > self.config.max_write_buffer
-                || ((conn.eof || self.drain.is_some()) && conn.settled())
-        };
-        if close {
-            self.close_client(fd);
-        } else {
-            self.update_client_interest(fd);
+    fn resolve_client_slot(&mut self, core: &mut RCore, client: u64, seq: usize, resp: String) {
+        // A miss: the client died before its response arrived.
+        if let Some(c) = core.client_mut(client) {
+            c.state.resolve(seq, resp);
+            core.touch(client);
         }
     }
 
-    fn update_client_interest(&mut self, fd: RawFd) {
-        let draining = self.drain.is_some();
-        let Some(conn) = self.clients.get_mut(&fd) else {
-            return;
-        };
-        let want = Interest {
-            readable: !conn.eof && !draining,
-            writable: conn.buffered() > 0,
-        };
-        if want != conn.interest {
-            if self.poller.modify(fd, fd as u64, want).is_ok() {
-                conn.interest = want;
-            } else {
-                self.close_client(fd);
-            }
-        }
-    }
-
-    fn close_client(&mut self, fd: RawFd) {
-        let Some(conn) = self.clients.remove(&fd) else {
-            return;
-        };
-        let _ = self.poller.deregister(fd);
-        self.client_fds.remove(&conn.id);
-        // Pending backend entries referencing this client stay in their
-        // FIFOs (position is the correlation); their responses are
-        // dropped at dispatch when the lookup fails.
-    }
-
-    /// Stops accepting and freezes client input; in-flight responses
-    /// still flush, and clients close as they settle.
-    fn start_drain(&mut self) {
-        if self.drain.is_some() {
+    /// Starts the core's drain (listeners close, client input freezes,
+    /// clients close as they settle) and errors every parked request:
+    /// with no reconnects or promotions during a drain they could never
+    /// complete, and their clients must settle rather than hit the
+    /// deadline.
+    fn start_drain(&mut self, core: &mut RCore) {
+        if core.draining() {
             return;
         }
-        self.drain = Some(DrainState {
-            deadline: Instant::now() + self.config.drain_timeout,
-        });
-        if let Some(listener) = self.listener.take() {
-            let _ = self.poller.deregister(listener.as_raw_fd());
-        }
-        if let Some(ml) = self.metrics_listener.take() {
-            let _ = self.poller.deregister(ml.as_raw_fd());
-        }
-        // Parked requests can never complete during a drain (no
-        // reconnects, no promotions run) — error them now so their
-        // clients can settle and close instead of hitting the deadline.
+        core.start_drain();
         for idx in 0..self.backends.len() {
             if !self.backends[idx].parked.is_empty() {
-                self.flush_parked(idx, Some("router draining".to_string()));
+                self.flush_parked(core, idx, Some("router draining".to_string()));
             }
         }
-        for fd in self.clients.keys().copied().collect::<Vec<_>>() {
-            self.pump_client(fd);
+    }
+}
+
+impl Handler for Router {
+    type Client = ClientSlots;
+
+    fn open(&mut self) -> ClientSlots {
+        self.stats.accepted += 1;
+        ClientSlots::default()
+    }
+
+    fn on_frame(&mut self, core: &mut RCore, client: u64, frame: LineEvent) {
+        match frame {
+            LineEvent::Line(line) => self.handle_client_line(core, client, &line),
+            LineEvent::Oversized => {
+                let resp = frame_too_large_response(core.config().max_frame);
+                if let Some(c) = core.client_mut(client) {
+                    c.state.push_ready(resp);
+                }
+            }
         }
+    }
+
+    /// Moves the maximal ready prefix of the client's slots into its
+    /// write buffer.
+    fn settle(&mut self, core: &mut RCore, client: u64) {
+        let Some(c) = core.client_mut(client) else {
+            return;
+        };
+        while let Some(CSlot::Ready(_)) = c.state.slots.front() {
+            let Some(CSlot::Ready(resp)) = c.state.slots.pop_front() else {
+                unreachable!("front checked above");
+            };
+            c.state.base += 1;
+            c.io.queue(&resp);
+        }
+    }
+
+    fn is_settled(client: &ClientSlots) -> bool {
+        // Pending backend entries referencing a closed client stay in
+        // their FIFOs (position is the correlation); their responses
+        // are dropped at dispatch when the client lookup fails.
+        client.slots.is_empty()
+    }
+
+    /// Backend shard `idx` polls under token `HANDLER_TOKEN_BASE + idx`.
+    fn on_event(&mut self, core: &mut RCore, token: u64, ev: Event) {
+        self.backend_ready(core, (token - HANDLER_TOKEN_BASE) as usize, ev);
+    }
+
+    fn tick(&mut self, core: &mut RCore) {
+        self.drain_connector_results(core);
+        if self.config.handle_signals && signal::drain_requested() {
+            // Signal drain: router only. Backends stay up — the
+            // shutdown op is the way to take the whole tier down.
+            self.start_drain(core);
+        }
+        if !core.draining() {
+            self.tick_reconnects();
+            self.tick_probes(core);
+        }
+        self.tick_failovers(core);
+    }
+
+    /// Backend timers: reconnect attempts, idle probes and parked
+    /// requests' failover deadlines, bounded by [`MAX_POLL`].
+    fn timeout(&self) -> Option<Duration> {
+        let now = Instant::now();
+        let mut timeout = MAX_POLL;
+        for b in &self.backends {
+            if b.conn.is_none() && !b.connecting {
+                timeout = timeout.min(b.next_attempt.saturating_duration_since(now));
+            }
+            if let Some(conn) = &b.conn {
+                if conn.inflight.is_empty() {
+                    let probe_at = conn.io.last_activity + self.config.probe_interval;
+                    timeout = timeout.min(probe_at.saturating_duration_since(now));
+                }
+            }
+            if let Some(deadline) = b.promoting {
+                if !b.parked.is_empty() {
+                    // Wake in time to error expired parked requests.
+                    timeout = timeout.min(deadline.saturating_duration_since(now));
+                }
+            }
+        }
+        Some(timeout)
+    }
+
+    fn render_metrics(&self, core: &RCore) -> String {
+        self.router_prom(core)
     }
 }

@@ -32,7 +32,7 @@ fn start_backend(shard_id: Option<(usize, usize)>, auth_token: Option<&str>) -> 
         ..NetConfig::default()
     };
     let server_engine = Arc::clone(&engine);
-    let handle = std::thread::spawn(move || serve_listener(&server_engine, listener, net));
+    let handle = std::thread::spawn(move || serve_listener(&server_engine, listener, None, net));
     Backend {
         engine,
         addr,
@@ -59,7 +59,7 @@ fn start_router_addrs(
     config.reconnect_min = Duration::from_millis(50);
     config.reconnect_max = Duration::from_millis(200);
     tweak(&mut config);
-    let handle = std::thread::spawn(move || run_router(listener, config));
+    let handle = std::thread::spawn(move || run_router(listener, None, config));
     (addr, handle)
 }
 
@@ -324,8 +324,9 @@ fn reconnects_with_backoff_when_a_backend_comes_up_late() {
     }));
     let listener = TcpListener::bind(addr).expect("rebind reserved port");
     let server_engine = Arc::clone(&engine);
-    let handle =
-        std::thread::spawn(move || serve_listener(&server_engine, listener, NetConfig::default()));
+    let handle = std::thread::spawn(move || {
+        serve_listener(&server_engine, listener, None, NetConfig::default())
+    });
 
     // The router reconnects within its backoff schedule and traffic
     // flows.
@@ -364,8 +365,9 @@ fn start_standby(primary_addr: SocketAddr) -> Backend {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind standby");
     let addr = listener.local_addr().unwrap();
     let server_engine = Arc::clone(&engine);
-    let handle =
-        std::thread::spawn(move || serve_listener(&server_engine, listener, NetConfig::default()));
+    let handle = std::thread::spawn(move || {
+        serve_listener(&server_engine, listener, None, NetConfig::default())
+    });
     Backend {
         engine,
         addr,
@@ -655,7 +657,7 @@ fn shutdown_ack_is_honest_when_backends_refuse() {
 fn auth_gates_clients_and_authenticates_to_backends() {
     let b0 = start_backend(None, Some("backend-secret"));
     let (router_addr, router) = start_router(&[&b0], |c| {
-        c.auth_token = Some("front-secret".into());
+        c.net.auth_token = Some("front-secret".into());
         c.shard_auth_token = Some("backend-secret".into());
     });
 
@@ -685,6 +687,78 @@ fn auth_gates_clients_and_authenticates_to_backends() {
     ));
     assert!(r.contains("chosen_pairs"), "{r}");
 
+    let ack = c.request(r#"{"op":"shutdown"}"#);
+    assert!(ack.contains("\"op\":\"shutdown\""), "{ack}");
+    router.join().unwrap().expect("router exits cleanly");
+    b0.handle.join().unwrap().expect("backend drains");
+    b0.engine.shutdown();
+}
+
+/// GET /metrics over a fresh connection; `None` when the router
+/// refused the connection (closed it without a response).
+fn scrape(addr: SocketAddr) -> Option<String> {
+    let mut s = TcpStream::connect(addr).expect("connect metrics");
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    s.write_all(b"GET /metrics HTTP/1.1\r\n\r\n").ok()?;
+    let mut raw = String::new();
+    s.read_to_string(&mut raw).ok()?;
+    raw.split_once("\r\n\r\n").map(|(_, body)| body.to_string())
+}
+
+#[test]
+fn over_cap_clients_are_refused_and_counted() {
+    let b0 = start_backend(None, None);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind router");
+    let metrics = TcpListener::bind("127.0.0.1:0").expect("bind metrics");
+    let (router_addr, metrics_addr) = (
+        listener.local_addr().unwrap(),
+        metrics.local_addr().unwrap(),
+    );
+    let mut config = RouterConfig::new(vec![b0.addr.to_string()]);
+    config.net.max_conns = 1;
+    let router = std::thread::spawn(move || run_router(listener, Some(metrics), config));
+
+    let mut c = Client::connect(router_addr);
+    wait_until_shards_up(&mut c, 1);
+    // The one slot is taken: the next client is accepted and closed at
+    // once, never served.
+    let mut extra = TcpStream::connect(router_addr).expect("connect");
+    extra
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    match extra.read(&mut [0u8; 1]) {
+        Ok(0) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("over-cap client was not refused: {other:?}"),
+    }
+    let m = c.request(r#"{"op":"metrics"}"#);
+    let v = json::parse(&m).expect("metrics parses");
+    let stats = v.get("router").expect("router block");
+    let get = |k: &str| stats.get(k).and_then(|n| n.as_u64());
+    assert_eq!(get("clients_rejected"), Some(1), "{m}");
+    assert_eq!(get("clients_accepted"), Some(1), "{m}");
+    assert_eq!(get("clients_active"), Some(1), "{m}");
+
+    // Scrapes share the cap, so free the slot first; retry while the
+    // router has not yet seen the close.
+    drop(c);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let body = loop {
+        if let Some(body) = scrape(metrics_addr) {
+            break body;
+        }
+        assert!(Instant::now() < deadline, "scrape never admitted");
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let families = freqywm_obs::prom::parse_exposition(&body).expect("valid exposition");
+    let rejected = families
+        .iter()
+        .find(|f| f.name == "freqywm_router_clients_rejected_total")
+        .unwrap_or_else(|| panic!("missing clients_rejected family: {body}"));
+    assert_eq!(rejected.kind, "counter");
+    assert!(rejected.samples[0].value >= 1.0, "{body}");
+
+    let mut c = Client::connect(router_addr);
     let ack = c.request(r#"{"op":"shutdown"}"#);
     assert!(ack.contains("\"op\":\"shutdown\""), "{ack}");
     router.join().unwrap().expect("router exits cleanly");
