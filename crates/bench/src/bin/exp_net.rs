@@ -171,12 +171,8 @@ fn main() {
         .expect("reactor exit");
     let snap = engine.metrics();
     println!(
-        "# served {} conns, {} bytes in, {} bytes out, evicted {}, cache hit rate {:.3}",
-        snap.net.accepted,
-        snap.net.bytes_in,
-        snap.net.bytes_out,
-        snap.net.evicted_slow,
-        snap.cache.hit_rate(),
+        "# served {} conns, {} bytes in, {} bytes out, evicted {}",
+        snap.net.accepted, snap.net.bytes_in, snap.net.bytes_out, snap.net.evicted_slow,
     );
     engine.shutdown();
 }

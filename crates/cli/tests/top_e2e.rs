@@ -184,7 +184,7 @@ fn wait_until_shards_up(c: &mut Client, want: usize) {
 
 /// Splits the `freqywm top` row for `addr` into its whitespace
 /// columns: shard, role, health, qps, refus/s, p50, p99, wait%,
-/// hit%, log_seq, lag, addr.
+/// log_seq, lag, addr.
 fn top_row(frame: &str, addr: SocketAddr) -> Vec<String> {
     frame
         .lines()
@@ -333,6 +333,7 @@ fn scrape_history_and_top_against_a_replicated_tier() {
     for (frame, label) in [(&frame1, "frame 1"), (&frame2, "frame 2")] {
         for addr in [p0, p1] {
             let row = top_row(frame, addr);
+            assert_eq!(row.len(), 11, "{label} columns: {row:?}");
             assert_eq!(row[1], "primary", "{label} role: {row:?}");
             assert_eq!(row[2], "ok", "{label} health: {row:?}");
             let qps: f64 = row[3]
@@ -345,14 +346,18 @@ fn scrape_history_and_top_against_a_replicated_tier() {
             row[6]
                 .parse::<u64>()
                 .unwrap_or_else(|_| panic!("{label} p99 not numeric: {row:?}"));
-            row[9]
+            row[7]
+                .parse::<f64>()
+                .unwrap_or_else(|_| panic!("{label} wait% not numeric: {row:?}"));
+            row[8]
                 .parse::<u64>()
                 .unwrap_or_else(|_| panic!("{label} log_seq not numeric: {row:?}"));
-            row[10]
+            row[9]
                 .parse::<u64>()
                 .unwrap_or_else(|_| panic!("{label} repl lag not numeric: {row:?}"));
         }
     }
+    assert!(!frame1.contains("hit%"), "{frame1}");
     assert!(frame1.contains("top tenants by ops:"), "{frame1}");
     assert!(frame1.contains(&tenant_name(0)), "{frame1}");
     // Live traffic between the frames: the history-derived view moved

@@ -9,7 +9,7 @@
 
 use crate::params::{DetectionParams, DetectionRule};
 use crate::secret::SecretList;
-use freqywm_crypto::prf::{DirectPrf, PrfProvider};
+use freqywm_crypto::prf::pair_modulus;
 use freqywm_data::dataset::Dataset;
 use freqywm_data::histogram::Histogram;
 use freqywm_data::token::Token;
@@ -61,22 +61,6 @@ pub fn detect_histogram(
     secrets: &SecretList,
     params: &DetectionParams,
 ) -> DetectionOutcome {
-    detect_histogram_with(hist, secrets, params, &DirectPrf)
-}
-
-/// Runs Algorithm II with an injected [`PrfProvider`].
-///
-/// Batched deployments re-verify the same vocabulary against the same
-/// secret over and over (marketplace re-detections, dispute panels);
-/// passing a memoizing provider skips re-deriving
-/// `H(tk_i ‖ H(R ‖ tk_j))` for pairs already seen. Semantics are
-/// identical to [`detect_histogram`] for any transparent provider.
-pub fn detect_histogram_with<P: PrfProvider>(
-    hist: &Histogram,
-    secrets: &SecretList,
-    params: &DetectionParams,
-    prf: &P,
-) -> DetectionOutcome {
     let scaled;
     let hist = match params.scale {
         Some(f) => {
@@ -103,7 +87,7 @@ pub fn detect_histogram_with<P: PrfProvider>(
             }
         };
         present_pairs += 1;
-        let s = prf.pair_modulus(&secrets.secret, a.as_bytes(), b.as_bytes(), secrets.z);
+        let s = pair_modulus(&secrets.secret, a.as_bytes(), b.as_bytes(), secrets.z);
         if s < 2 {
             // Cannot happen for pairs produced by generation; treat a
             // corrupted secret conservatively as non-verifying.

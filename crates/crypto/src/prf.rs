@@ -113,13 +113,18 @@ impl Drop for Secret {
     }
 }
 
-/// Reduces a 256-bit big-endian digest modulo `z`.
-fn digest_mod(digest: &[u8; 32], z: u64) -> u64 {
+/// Reduces a 256-bit big-endian digest modulo `z` (`z ≥ 1`).
+///
+/// Horner's rule over four big-endian 64-bit limbs: the running
+/// remainder stays below `z`, so each step divides a 128-bit value whose
+/// quotient fits in 64 bits.
+pub fn digest_mod(digest: &[u8; 32], z: u64) -> u64 {
     debug_assert!(z > 0);
-    let z = z as u128;
-    let mut acc: u128 = 0;
-    for &b in digest {
-        acc = ((acc << 8) | b as u128) % z;
+    let z = u128::from(z);
+    let mut acc = 0u128;
+    for limb in digest.chunks_exact(8) {
+        let limb = u64::from_be_bytes(limb.try_into().expect("8-byte limb"));
+        acc = ((acc << 64) | u128::from(limb)) % z;
     }
     acc as u64
 }
@@ -136,10 +141,10 @@ pub fn pair_modulus(secret: &Secret, tk_i: &[u8], tk_j: &[u8], z: u64) -> u64 {
 
 /// Source of pair moduli.
 ///
-/// Detection and batched service calls take a provider instead of
-/// calling [`pair_modulus`] directly, so a deployment can interpose a
-/// memoization layer (the service crate's sharded LRU) without the core
-/// algorithms knowing. Implementations must be semantically transparent:
+/// The core algorithms call [`pair_modulus`] directly; this trait lets
+/// a memoization layer (the service crate's `PrfCache`, which no
+/// serving path uses) and the benchmark's probe stand behind one call.
+/// Implementations must be semantically transparent:
 /// `provider.pair_modulus(...)` ≡ [`pair_modulus`] for all inputs.
 pub trait PrfProvider {
     fn pair_modulus(&self, secret: &Secret, tk_i: &[u8], tk_j: &[u8], z: u64) -> u64;
@@ -286,18 +291,33 @@ mod tests {
 
     #[test]
     fn digest_mod_agrees_with_u128_reference() {
-        // Cross-check the byte-wise reduction against direct arithmetic
-        // on the low 128 bits for moduli where the top bits are masked out.
-        let d = crate::sha256::sha256(b"reference");
-        for z in [2u64, 7, 97, 131, 1031, 65_537] {
-            let got = digest_mod(&d, z);
-            // Reference: full 256-bit value mod z via repeated folding.
-            let mut acc: u128 = 0;
-            for &b in &d {
-                acc = ((acc << 8) | b as u128) % z as u128;
+        // The limb reduction must equal the byte-at-a-time fold for
+        // small, 32-bit, 63-bit and full-width moduli.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        for _ in 0..200 {
+            let mut d = [0u8; 32];
+            rng.fill_bytes(&mut d);
+            let wide = rng.next_u64() | 1;
+            for z in [
+                1u64,
+                2,
+                7,
+                131,
+                1031,
+                65_537,
+                u32::MAX as u64,
+                (1 << 63) + 5,
+                u64::MAX,
+                wide,
+            ] {
+                let mut acc: u128 = 0;
+                for &b in &d {
+                    acc = ((acc << 8) | b as u128) % z as u128;
+                }
+                assert_eq!(digest_mod(&d, z), acc as u64, "z={z}");
             }
-            assert_eq!(got, acc as u64);
         }
+        assert_eq!(digest_mod(&[0xFF; 32], u64::MAX), 0);
     }
 
     #[test]

@@ -1,9 +1,16 @@
 //! FIPS 180-4 SHA-256.
 //!
-//! Straightforward, dependency-free implementation with an incremental
-//! [`Sha256`] hasher and a one-shot [`sha256`] convenience function.
-//! Performance is adequate for FreqyWM's workload (a few hash calls per
-//! candidate token pair); a criterion bench tracks throughput.
+//! Dependency-free implementation with an incremental [`Sha256`] hasher
+//! and a one-shot [`sha256`] convenience function. FreqyWM hashes two
+//! short messages per candidate token pair, so the block compression is
+//! the cost of the whole pair PRF. It has two paths:
+//!
+//! * on x86-64 CPUs with the SHA extensions (plus SSE4.1), the rounds
+//!   run on `sha256rnds2`/`sha256msg1`/`sha256msg2`, chosen at runtime
+//!   with `is_x86_feature_detected!`;
+//! * everywhere else, a portable scalar compression.
+//!
+//! Both produce identical digests; the unit tests run them side by side.
 
 use crate::Digest;
 
@@ -73,16 +80,12 @@ impl Sha256 {
             self.buf_len += take;
             rest = &rest[take..];
             if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
+                compress(&mut self.state, &self.buf);
                 self.buf_len = 0;
             }
         }
-        while rest.len() >= 64 {
-            let (block, tail) = rest.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
+        while let Some((block, tail)) = rest.split_first_chunk::<64>() {
+            compress(&mut self.state, block);
             rest = tail;
         }
         if !rest.is_empty() {
@@ -94,84 +97,219 @@ impl Sha256 {
     /// Finishes the hash and returns the digest. Consumes the hasher.
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian bit length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // Padding: 0x80, zeros, 64-bit big-endian bit length. `buf_len`
+        // is below 64 here; at 56 or more the length spills into a
+        // second block.
+        let n = self.buf_len;
+        self.buf[n] = 0x80;
+        self.buf[n + 1..].fill(0);
+        if n >= 56 {
+            compress(&mut self.state, &self.buf);
+            self.buf = [0u8; 64];
         }
-        // Manual: appending the length must not re-enter the padding logic.
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.compress(&block);
-        let mut out = [0u8; 32];
-        for (i, w) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
-        }
-        out
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &self.buf);
+        digest_of(&self.state)
+    }
+}
+
+/// Compresses one block into `state` on the fastest available path.
+#[inline]
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    #[cfg(target_arch = "x86_64")]
+    if shani::available() {
+        // SAFETY: the CPU supports every feature the function enables.
+        unsafe { shani::compress(state, block) };
+        return;
+    }
+    compress_scalar(state, block);
+}
+
+/// Portable FIPS 180-4 block compression. Kept out of line so the
+/// dispatch in [`compress`] stays small enough to inline.
+#[inline(never)]
+fn compress_scalar(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
     }
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ ((!e) & g);
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
+    }
+}
+
+/// Block compression on the x86 SHA extensions.
+///
+/// `sha256rnds2` keeps the working variables as two vectors, `ABEF` and
+/// `CDGH`, and runs two rounds per instruction; `sha256msg1`/`msg2`
+/// extend the message schedule four words at a time.
+#[cfg(target_arch = "x86_64")]
+mod shani {
+    use super::K;
+    use core::arch::x86_64::*;
+
+    /// Whether this CPU can run [`compress`]. The feature test caches
+    /// its answer, so each call is a load and a branch (SSE2 is part
+    /// of the x86-64 baseline).
+    #[inline]
+    pub(super) fn available() -> bool {
+        is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Four rounds on schedule words `w` (`W[4r..4r+4]`).
+    ///
+    /// # Safety
+    ///
+    /// As for [`compress`], and `r < 16` (it indexes `K[4r..4r+4]`).
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    unsafe fn rounds4(abef: &mut __m128i, cdgh: &mut __m128i, w: __m128i, r: usize) {
+        debug_assert!(r < 16);
+        let wk = _mm_add_epi32(w, _mm_loadu_si128(K.as_ptr().add(4 * r).cast()));
+        *cdgh = _mm_sha256rnds2_epu32(*cdgh, *abef, wk);
+        *abef = _mm_sha256rnds2_epu32(*abef, *cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+
+    /// The next four schedule words from the previous sixteen.
+    ///
+    /// # Safety
+    ///
+    /// As for [`compress`].
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    unsafe fn schedule(w0: __m128i, w1: __m128i, w2: __m128i, w3: __m128i) -> __m128i {
+        let t = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8(w3, w2, 4));
+        _mm_sha256msg2_epu32(t, w3)
+    }
+
+    /// Message words `W[4i..4i+4]` of `block`, loaded big-endian.
+    ///
+    /// # Safety
+    ///
+    /// As for [`compress`], and `i < 4` (it reads `block[16i..16i+16]`).
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    unsafe fn load(block: &[u8; 64], i: usize) -> __m128i {
+        debug_assert!(i < 4);
+        let be = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        _mm_shuffle_epi8(_mm_loadu_si128(block.as_ptr().add(16 * i).cast()), be)
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support SHA, SSSE3 and SSE4.1 ([`available`]).
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) unsafe fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+        let dcba = _mm_loadu_si128(state.as_ptr().cast());
+        let hgfe = _mm_loadu_si128(state.as_ptr().add(4).cast());
+        let cdab = _mm_shuffle_epi32(dcba, 0xB1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+        let (abef0, cdgh0) = (abef, cdgh);
+
+        // `w0..w3` hold the last sixteen schedule words, oldest first.
+        let (mut w0, mut w1, mut w2, mut w3) = (
+            load(block, 0),
+            load(block, 1),
+            load(block, 2),
+            load(block, 3),
+        );
+        rounds4(&mut abef, &mut cdgh, w0, 0);
+        rounds4(&mut abef, &mut cdgh, w1, 1);
+        rounds4(&mut abef, &mut cdgh, w2, 2);
+        rounds4(&mut abef, &mut cdgh, w3, 3);
+        for r in 4..16 {
+            let next = schedule(w0, w1, w2, w3);
+            (w0, w1, w2, w3) = (w1, w2, w3, next);
+            rounds4(&mut abef, &mut cdgh, next, r);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        abef = _mm_add_epi32(abef, abef0);
+        cdgh = _mm_add_epi32(cdgh, cdgh0);
+        let feba = _mm_shuffle_epi32(abef, 0x1B);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+        _mm_storeu_si128(state.as_mut_ptr().cast(), _mm_blend_epi16(feba, dchg, 0xF0));
+        _mm_storeu_si128(
+            state.as_mut_ptr().add(4).cast(),
+            _mm_alignr_epi8(dchg, feba, 8),
+        );
     }
 }
 
 /// One-shot SHA-256 of `data`.
 pub fn sha256(data: &[u8]) -> Digest {
-    let mut h = Sha256::new();
-    h.update(data);
-    h.finalize()
+    sha256_concat(&[data])
 }
 
 /// One-shot SHA-256 over the concatenation of several byte slices,
 /// avoiding an intermediate allocation.
+///
+/// A message of at most 55 bytes — both halves of the pair PRF for
+/// tokens up to 23 bytes — is padded into one block on the stack and
+/// compressed once, skipping the incremental hasher's buffering.
 pub fn sha256_concat(parts: &[&[u8]]) -> Digest {
-    let mut h = Sha256::new();
-    for p in parts {
-        h.update(p);
+    let total: usize = parts.iter().map(|p| p.len()).sum();
+    if total > 55 {
+        let mut h = Sha256::new();
+        for p in parts {
+            h.update(p);
+        }
+        return h.finalize();
     }
-    h.finalize()
+    let mut block = [0u8; 64];
+    let mut at = 0;
+    for p in parts {
+        block[at..at + p.len()].copy_from_slice(p);
+        at += p.len();
+    }
+    block[at] = 0x80;
+    block[56..].copy_from_slice(&(total as u64 * 8).to_be_bytes());
+    let mut state = H0;
+    compress(&mut state, &block);
+    digest_of(&state)
+}
+
+/// The big-endian digest bytes of a final hash state.
+fn digest_of(state: &[u32; 8]) -> Digest {
+    let mut out = [0u8; 32];
+    for (i, w) in state.iter().enumerate() {
+        out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
+    }
+    out
 }
 
 #[cfg(test)]
@@ -271,6 +409,66 @@ mod tests {
             let d1 = h.finalize();
             let d2 = sha256(&data);
             assert_eq!(d1, d2, "len {len}");
+        }
+    }
+
+    /// SHA-256 of `data` with padding done here and every block run
+    /// through `compress`, so each compression path can be checked on
+    /// its own.
+    fn digest_with(data: &[u8], compress: impl Fn(&mut [u32; 8], &[u8; 64])) -> Digest {
+        let mut msg = data.to_vec();
+        msg.push(0x80);
+        while msg.len() % 64 != 56 {
+            msg.push(0);
+        }
+        msg.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        for block in msg.chunks_exact(64) {
+            compress(&mut state, block.try_into().expect("64-byte block"));
+        }
+        digest_of(&state)
+    }
+
+    #[test]
+    fn scalar_compress_matches_hasher() {
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 7 % 256) as u8).collect();
+        for len in 0..=data.len() {
+            assert_eq!(
+                digest_with(&data[..len], compress_scalar),
+                sha256(&data[..len]),
+                "len {len}"
+            );
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn shani_compress_matches_scalar() {
+        use rand::rngs::StdRng;
+        use rand::{RngCore, SeedableRng};
+        if !shani::available() {
+            eprintln!("CPU lacks the SHA extensions; only the scalar path runs here");
+            return;
+        }
+        // SAFETY: `available()` confirmed the required CPU features.
+        let hw = |state: &mut [u32; 8], block: &[u8; 64]| unsafe { shani::compress(state, block) };
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 13 % 256) as u8).collect();
+        for len in 0..=data.len() {
+            let want = digest_with(&data[..len], compress_scalar);
+            assert_eq!(digest_with(&data[..len], hw), want, "len {len}");
+        }
+        let mut rng = StdRng::seed_from_u64(0x5a5a);
+        for _ in 0..1_000 {
+            let mut block = [0u8; 64];
+            rng.fill_bytes(&mut block);
+            let mut state = [0u32; 8];
+            for w in state.iter_mut() {
+                *w = rng.next_u32();
+            }
+            let (mut a, mut b) = (state, state);
+            compress_scalar(&mut a, &block);
+            hw(&mut b, &block);
+            assert_eq!(a, b, "state {state:08x?}");
         }
     }
 

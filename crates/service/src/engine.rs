@@ -1,5 +1,5 @@
 //! The multi-tenant watermarking engine: bounded job queue + worker
-//! pool over the registry, PRF cache and metrics.
+//! pool over the registry and metrics.
 //!
 //! ```
 //! use freqywm_service::engine::{Engine, EngineConfig};
@@ -37,14 +37,13 @@ use crate::job::{
 };
 use crate::metrics::{HistorySample, Metrics, MetricsSnapshot, NetCounters};
 use crate::persist::DurableRegistry;
-use crate::prf_cache::{PrfCache, PrfCacheConfig};
 use crate::quota::{QuotaConfig, QuotaLimits, QuotaManager, QuotaStatus};
 use crate::shard::{sharded_histogram_cancellable, Cancellation};
 use crate::storage::{NullStorage, Storage};
-use freqywm_core::detect::detect_histogram_with;
+use freqywm_core::detect::detect_histogram;
 use freqywm_core::generate::Watermarker;
 use freqywm_core::incremental::IncrementalWatermarker;
-use freqywm_core::judge::{judge_dispute_with, Claim, Ruling, Verdict};
+use freqywm_core::judge::{judge_dispute, Claim, Ruling, Verdict};
 use freqywm_core::params::DetectionParams;
 use freqywm_crypto::prf::Secret;
 use freqywm_data::histogram::Histogram;
@@ -107,8 +106,6 @@ pub struct EngineConfig {
     /// deadline error — reaped from the queue, or cancelled at the
     /// next cooperative checkpoint if already running.
     pub default_timeout: Duration,
-    /// PRF cache geometry (use [`PrfCacheConfig::disabled`] to bypass).
-    pub cache: PrfCacheConfig,
     /// Threads for sharded histogram construction inside one job.
     pub shard_threads: usize,
     /// HMAC key for the registration ledger.
@@ -156,7 +153,6 @@ impl Default for EngineConfig {
             workers: 4,
             queue_capacity: 1024,
             default_timeout: Duration::from_secs(30),
-            cache: PrfCacheConfig::default(),
             shard_threads: 4,
             ledger_key: b"freqywm-service-ledger".to_vec(),
             snapshot_every: crate::persist::DEFAULT_SNAPSHOT_EVERY,
@@ -198,7 +194,6 @@ struct Shared {
     jobs: Mutex<HashMap<JobId, JobState>>,
     jobs_cv: Condvar,
     registry: RwLock<DurableRegistry>,
-    cache: PrfCache,
     metrics: Metrics,
     /// Logical clock for registration ordering (strictly monotonic, so
     /// ledger chronology is deterministic under test).
@@ -326,7 +321,6 @@ impl Engine {
         let clock_start = registry.clock_floor() + 1;
         let follower = config.follow.is_some();
         let shared = Arc::new(Shared {
-            cache: PrfCache::new(config.cache),
             registry: RwLock::new(registry),
             obs: Arc::new(SpanRing::new(config.trace_ring)),
             follower: AtomicBool::new(follower),
@@ -755,8 +749,8 @@ impl Engine {
     }
 
     /// Arbitrates ownership of between two tenants' latest watermarks:
-    /// the four-run protocol through the PRF cache, with the
-    /// registration ledger as chronological tiebreak.
+    /// the four-run protocol, with the registration ledger as
+    /// chronological tiebreak.
     pub fn dispute(
         &self,
         tenant_a: &str,
@@ -777,17 +771,9 @@ impl Engine {
             histogram: wb.watermarked.clone(),
             secrets: wb.secrets.clone(),
         };
-        let tag_a = registry.cache_tag(tenant_a)?;
-        let tag_b = registry.cache_tag(tenant_b)?;
         let ledger_order = registry.earlier_watermark(tenant_a, tenant_b)?;
         drop(registry);
-        let ruling = judge_dispute_with(
-            &claim_a,
-            &claim_b,
-            params,
-            &self.shared.cache.for_tag(tag_a),
-            &self.shared.cache.for_tag(tag_b),
-        );
+        let ruling = judge_dispute(&claim_a, &claim_b, params);
         let (winner, decisive) = match ruling.verdict {
             Verdict::FirstParty => (tenant_a.to_string(), true),
             Verdict::SecondParty => (tenant_b.to_string(), true),
@@ -816,7 +802,7 @@ impl Engine {
         self.shared.config.shard_gate.as_ref().map(ShardGate::label)
     }
 
-    /// Counters, latency histogram, cache hit-rate, queue depth.
+    /// Counters, latency histogram, queue depth.
     pub fn metrics(&self) -> MetricsSnapshot {
         snapshot_shared(&self.shared)
     }
@@ -922,7 +908,9 @@ fn resync_quota(shared: &Shared) {
 /// Durably records a consumed-window checkpoint so a restart (or a
 /// failover) cannot reset an abuser's window. Primary only — a
 /// follower writing its own log would fork the replicated chain.
-/// Best-effort: the admission decision already stands.
+/// Best-effort: the admission decision already stands, so a failed
+/// write is counted in `storage_errors` (the first one is also logged
+/// to stderr) instead of failing the request.
 fn checkpoint_quota(shared: &Shared, tenant: &str, used: [u64; 3], at_ms: u64) {
     if shared.follower.load(Ordering::SeqCst) {
         return;
@@ -932,7 +920,16 @@ fn checkpoint_quota(shared: &Shared, tenant: &str, used: [u64; 3], at_ms: u64) {
         return; // unregistered tenants have nothing durable to pin
     }
     let now = shared.clock.fetch_add(1, Ordering::Relaxed);
-    let _ = registry.checkpoint_quota(tenant, used, at_ms, now);
+    if let Err(e) = registry.checkpoint_quota(tenant, used, at_ms, now) {
+        if shared
+            .metrics
+            .storage_errors
+            .fetch_add(1, Ordering::Relaxed)
+            == 0
+        {
+            eprintln!("freqywm: quota checkpoint for tenant {tenant:?} not persisted: {e}");
+        }
+    }
 }
 
 /// Full metrics snapshot from the shared state (used by
@@ -943,9 +940,7 @@ fn snapshot_shared(shared: &Shared) -> MetricsSnapshot {
         let registry = shared.registry.read().expect("registry lock poisoned");
         (registry.len(), registry.next_seq())
     };
-    let mut snapshot = shared
-        .metrics
-        .snapshot(shared.cache.stats(), queue_depth, tenants);
+    let mut snapshot = shared.metrics.snapshot(queue_depth, tenants);
     snapshot.shard = shared
         .config
         .shard_gate
@@ -1230,29 +1225,14 @@ fn run_payload(
             data,
             params,
         } => {
-            let (secret, tag) = {
+            let secret = {
                 let registry = shared.registry.read().expect("registry lock poisoned");
-                (
-                    registry.secret(&tenant)?.clone(),
-                    registry.cache_tag(&tenant)?,
-                )
+                registry.secret(&tenant)?.clone()
             };
             let hist = materialize(shared, data, &cancel)?;
             check_deadline(&cancel)?;
-            // Embed sweeps through the tenant's PRF cache view: moduli
-            // already warmed by earlier embeds/detections over
-            // overlapping vocabularies are reused, and the sweep's own
-            // draws pre-warm detection of the chosen pairs. With the
-            // cache disabled the direct sweep is faster (it memoizes
-            // inner digests per token, which the provider interface
-            // cannot), so fall back to it.
-            let watermarker = Watermarker::new(params);
             let sweep_started = Instant::now();
-            let out = if shared.cache.is_enabled() {
-                watermarker.generate_histogram_with(&hist, secret, &shared.cache.for_tag(tag))?
-            } else {
-                watermarker.generate_histogram(&hist, secret)?
-            };
+            let out = Watermarker::new(params).generate_histogram(&hist, secret)?;
             sweep_span(&tenant, JobKind::Embed, sweep_started);
             // Reap before recording: the caller sees a deadline error,
             // so the registry must not keep a watermark they never got.
@@ -1281,16 +1261,14 @@ fn run_payload(
             data,
             params,
         } => {
-            let (secrets, tag) = {
+            let secrets = {
                 let registry = shared.registry.read().expect("registry lock poisoned");
-                let wm = registry.require_watermark(&tenant)?;
-                (wm.secrets.clone(), registry.cache_tag(&tenant)?)
+                registry.require_watermark(&tenant)?.secrets.clone()
             };
             let hist = materialize(shared, data, &cancel)?;
             check_deadline(&cancel)?;
             let sweep_started = Instant::now();
-            let outcome =
-                detect_histogram_with(&hist, &secrets, &params, &shared.cache.for_tag(tag));
+            let outcome = detect_histogram(&hist, &secrets, &params);
             sweep_span(&tenant, JobKind::Detect, sweep_started);
             Ok(JobOutput::Detect(DetectOutcome { tenant, outcome }))
         }

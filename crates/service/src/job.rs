@@ -40,7 +40,7 @@ pub enum JobPayload {
         params: GenerationParams,
     },
     /// Run `WM_Detect` against the tenant's latest registered
-    /// watermark, through the PRF cache.
+    /// watermark.
     Detect {
         tenant: String,
         data: JobData,

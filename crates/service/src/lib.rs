@@ -14,11 +14,11 @@
 //!   embed / detect / maintain jobs concurrently with per-job queue
 //!   deadlines, plus ledger-tiebroken dispute arbitration;
 //! * [`prf_cache`] — a sharded LRU memoizing the pair PRF
-//!   `H(tk_i ‖ H(R ‖ tk_j)) mod z` across repeat detections, with
-//!   hit/miss counters;
+//!   `H(tk_i ‖ H(R ‖ tk_j)) mod z`; kept as a library type for the
+//!   benchmark probe, not used by the engine;
 //! * [`shard`] — parallel histogram construction for large token
 //!   streams;
-//! * [`metrics`] — job/latency/cache counters and JSON snapshots;
+//! * [`metrics`] — job/latency/storage-error counters and JSON snapshots;
 //! * [`proto`] — the JSON-lines request/response protocol behind
 //!   `freqywm serve` and `freqywm batch`;
 //! * [`storage`] + [`persist`] — the durability layer: a pluggable

@@ -6,7 +6,6 @@
 //! to JSON for the `metrics` protocol op.
 
 use crate::job::JobKind;
-use crate::prf_cache::CacheStats;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -203,6 +202,10 @@ pub struct Metrics {
     /// Slow-request log lines dropped by the stderr rate limiter — a
     /// latency storm shows up here instead of flooding the log.
     pub slow_log_suppressed: AtomicU64,
+    /// Storage writes that failed off the request path (quota
+    /// checkpoints): the request they rode on still stands, so the
+    /// failure is counted here instead of failing it.
+    pub storage_errors: AtomicU64,
     /// Run time: dequeue → completion.
     pub latency: LatencyHistogram,
     /// Queue wait: enqueue → dequeue, recorded separately so a slow
@@ -228,6 +231,7 @@ impl Default for Metrics {
             maintain_jobs: AtomicU64::new(0),
             disputes: AtomicU64::new(0),
             slow_log_suppressed: AtomicU64::new(0),
+            storage_errors: AtomicU64::new(0),
             latency: LatencyHistogram::default(),
             queue_wait: LatencyHistogram::default(),
             net: NetCounters::default(),
@@ -298,12 +302,7 @@ impl Metrics {
         map.entry(tenant.to_string()).or_default().quota_refused += 1;
     }
 
-    pub fn snapshot(
-        &self,
-        cache: CacheStats,
-        queue_depth: usize,
-        tenants: usize,
-    ) -> MetricsSnapshot {
+    pub fn snapshot(&self, queue_depth: usize, tenants: usize) -> MetricsSnapshot {
         MetricsSnapshot {
             submitted: self.submitted.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
@@ -317,9 +316,9 @@ impl Metrics {
             maintain_jobs: self.maintain_jobs.load(Ordering::Relaxed),
             disputes: self.disputes.load(Ordering::Relaxed),
             slow_log_suppressed: self.slow_log_suppressed.load(Ordering::Relaxed),
+            storage_errors: self.storage_errors.load(Ordering::Relaxed),
             latency: self.latency.snapshot(),
             queue_wait: self.queue_wait.snapshot(),
-            cache,
             net: self.net.snapshot(),
             queue_depth: queue_depth as u64,
             tenants: tenants as u64,
@@ -361,9 +360,10 @@ pub struct MetricsSnapshot {
     pub disputes: u64,
     /// Slow-log lines dropped by the stderr rate limiter.
     pub slow_log_suppressed: u64,
+    /// Failed off-path storage writes (see [`Metrics::storage_errors`]).
+    pub storage_errors: u64,
     pub latency: LatencySnapshot,
     pub queue_wait: LatencySnapshot,
-    pub cache: CacheStats,
     pub net: NetSnapshot,
     pub queue_depth: u64,
     pub tenants: u64,
@@ -473,6 +473,11 @@ impl MetricsSnapshot {
                 "Slow-request log lines dropped by the stderr rate limiter.",
                 self.slow_log_suppressed,
             ),
+            (
+                "freqywm_storage_errors_total",
+                "Storage writes that failed off the request path.",
+                self.storage_errors,
+            ),
         ] {
             w.scalar(name, PromKind::Counter, help, v as f64);
         }
@@ -515,24 +520,6 @@ impl MetricsSnapshot {
             w.family(name, PromKind::Histogram, help);
             latency_to_prom(&mut w, name, &[], hist);
         }
-        w.scalar(
-            "freqywm_prf_cache_hits_total",
-            PromKind::Counter,
-            "PRF cache hits.",
-            self.cache.hits as f64,
-        );
-        w.scalar(
-            "freqywm_prf_cache_misses_total",
-            PromKind::Counter,
-            "PRF cache misses.",
-            self.cache.misses as f64,
-        );
-        w.scalar(
-            "freqywm_prf_cache_entries",
-            PromKind::Gauge,
-            "PRF cache resident entries.",
-            self.cache.entries as f64,
-        );
         for (name, help, v) in [
             (
                 "freqywm_net_accepted_total",
@@ -681,15 +668,13 @@ impl MetricsSnapshot {
                 "\"timed_out\":{},\"rejected\":{},\"cancelled\":{},",
                 "\"quota_refused\":{},",
                 "\"embed_jobs\":{},\"detect_jobs\":{},\"maintain_jobs\":{},",
-                "\"disputes\":{},\"slow_log_suppressed\":{},",
+                "\"disputes\":{},\"slow_log_suppressed\":{},\"storage_errors\":{},",
                 "\"queue_depth\":{},\"tenants\":{},{}{}",
                 "\"latency\":{{\"count\":{},\"mean_us\":{:.1},\"p50_us\":{},",
                 "\"p95_us\":{},\"p99_us\":{},\"buckets_us_pow2\":[{}]}},",
                 "\"queue_wait\":{{\"count\":{},\"mean_us\":{:.1},\"p50_us\":{},",
                 "\"p95_us\":{},\"p99_us\":{},\"buckets_us_pow2\":[{}]}},",
                 "\"per_tenant\":{{{}}},",
-                "\"prf_cache\":{{\"hits\":{},\"misses\":{},\"entries\":{},",
-                "\"hit_rate\":{:.4}}},",
                 "\"net\":{{\"accepted\":{},\"active\":{},\"rejected\":{},",
                 "\"evicted_slow\":{},\"timed_out_idle\":{},",
                 "\"bytes_in\":{},\"bytes_out\":{}}}}}"
@@ -708,6 +693,7 @@ impl MetricsSnapshot {
             self.maintain_jobs,
             self.disputes,
             self.slow_log_suppressed,
+            self.storage_errors,
             self.queue_depth,
             self.tenants,
             shard_part,
@@ -725,10 +711,6 @@ impl MetricsSnapshot {
             self.queue_wait.quantile_upper_micros(0.99),
             wait_buckets.join(","),
             per_tenant.join(","),
-            self.cache.hits,
-            self.cache.misses,
-            self.cache.entries,
-            self.cache.hit_rate(),
             self.net.accepted,
             self.net.active,
             self.net.rejected,
@@ -757,7 +739,7 @@ pub struct ShardMetricsPiece {
 
 /// Counter keys summed across shards into the `totals` object. Gauges
 /// that sum meaningfully (`queue_depth`, `tenants`) are included;
-/// latencies and cache internals stay per-shard only.
+/// latencies stay per-shard only.
 const AGGREGATE_KEYS: &[&str] = &[
     "submitted",
     "completed",
@@ -771,6 +753,7 @@ const AGGREGATE_KEYS: &[&str] = &[
     "maintain_jobs",
     "disputes",
     "slow_log_suppressed",
+    "storage_errors",
     "queue_depth",
     "tenants",
 ];
@@ -885,8 +868,6 @@ pub struct HistorySample {
     pub slow_log_suppressed: u64,
     /// Gauge: queue depth at sample time.
     pub queue_depth: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
     pub bytes_in: u64,
     pub bytes_out: u64,
     /// Gauge: durable-log sequence at sample time (replication lag is
@@ -912,8 +893,6 @@ impl HistorySample {
             maintain_jobs: s.maintain_jobs,
             slow_log_suppressed: s.slow_log_suppressed,
             queue_depth: s.queue_depth,
-            cache_hits: s.cache.hits,
-            cache_misses: s.cache.misses,
             bytes_in: s.net.bytes_in,
             bytes_out: s.net.bytes_out,
             log_seq: s.log_seq,
@@ -933,7 +912,6 @@ impl HistorySample {
                 "\"embed_jobs\":{},",
                 "\"detect_jobs\":{},\"maintain_jobs\":{},",
                 "\"slow_log_suppressed\":{},\"queue_depth\":{},",
-                "\"cache_hits\":{},\"cache_misses\":{},",
                 "\"bytes_in\":{},\"bytes_out\":{},\"log_seq\":{},",
                 "\"latency_sum_us\":{},\"latency_count\":{},",
                 "\"queue_wait_sum_us\":{},\"queue_wait_count\":{}}}"
@@ -950,8 +928,6 @@ impl HistorySample {
             self.maintain_jobs,
             self.slow_log_suppressed,
             self.queue_depth,
-            self.cache_hits,
-            self.cache_misses,
             self.bytes_in,
             self.bytes_out,
             self.log_seq,
@@ -972,9 +948,6 @@ pub fn history_rates_json(older: (u64, &HistorySample), newer: (u64, &HistorySam
     let (t0, a) = older;
     let (t1, b) = newer;
     let window_s = (t1.saturating_sub(t0)) as f64 / 1000.0;
-    let hits = counter_delta(a.cache_hits, b.cache_hits);
-    let misses = counter_delta(a.cache_misses, b.cache_misses);
-    let lookups = hits + misses;
     let lat_sum = counter_delta(a.latency_sum_us, b.latency_sum_us);
     let lat_n = counter_delta(a.latency_count, b.latency_count);
     let wait_sum = counter_delta(a.queue_wait_sum_us, b.queue_wait_sum_us);
@@ -985,7 +958,7 @@ pub fn history_rates_json(older: (u64, &HistorySample), newer: (u64, &HistorySam
             "\"completed_per_s\":{:.3},\"failed_per_s\":{:.3},",
             "\"rejected_per_s\":{:.3},\"quota_refused_per_s\":{:.3},",
             "\"bytes_in_per_s\":{:.1},",
-            "\"bytes_out_per_s\":{:.1},\"cache_hit_rate\":{:.4},",
+            "\"bytes_out_per_s\":{:.1},",
             "\"mean_latency_us\":{:.1},\"queue_wait_share\":{:.4}}}"
         ),
         window_s,
@@ -996,11 +969,6 @@ pub fn history_rates_json(older: (u64, &HistorySample), newer: (u64, &HistorySam
         rate_per_sec((t0, a.quota_refused), (t1, b.quota_refused)),
         rate_per_sec((t0, a.bytes_in), (t1, b.bytes_in)),
         rate_per_sec((t0, a.bytes_out), (t1, b.bytes_out)),
-        if lookups == 0 {
-            0.0
-        } else {
-            hits as f64 / lookups as f64
-        },
         if lat_n == 0 {
             0.0
         } else {
@@ -1052,22 +1020,17 @@ mod tests {
         m.job_submitted();
         m.job_completed(Duration::from_micros(50));
         m.job_failed();
-        let snap = m.snapshot(
-            CacheStats {
-                hits: 3,
-                misses: 1,
-                entries: 4,
-            },
-            7,
-            2,
-        );
+        m.storage_errors.fetch_add(2, Ordering::Relaxed);
+        let snap = m.snapshot(7, 2);
         assert_eq!(snap.submitted, 2);
         assert_eq!(snap.completed, 1);
         assert_eq!(snap.failed, 1);
         assert_eq!(snap.queue_depth, 7);
         let json = snap.to_json();
         assert!(json.contains("\"submitted\":2"));
-        assert!(json.contains("\"hit_rate\":0.7500"));
+        assert_eq!(snap.storage_errors, 2);
+        assert!(json.contains("\"storage_errors\":2"));
+        assert!(!json.contains("prf_cache"));
         assert!(json.contains("\"tenants\":2"));
         // Must be a single well-formed object (rudimentary check).
         assert_eq!(json.matches('{').count(), json.matches('}').count());
@@ -1084,7 +1047,7 @@ mod tests {
         m.net.conn_timed_out_idle();
         m.net.add_bytes_in(100);
         m.net.add_bytes_out(250);
-        let snap = m.snapshot(CacheStats::default(), 0, 0);
+        let snap = m.snapshot(0, 0);
         assert_eq!(snap.net.accepted, 2);
         assert_eq!(snap.net.active, 1);
         assert_eq!(snap.net.rejected, 1);
@@ -1108,7 +1071,7 @@ mod tests {
     fn shard_label_in_json() {
         let m = Metrics::default();
         m.job_submitted();
-        let mut snap = m.snapshot(CacheStats::default(), 0, 3);
+        let mut snap = m.snapshot(0, 3);
         assert!(!snap.to_json().contains("\"shard\""));
         snap.shard = Some("1/4".into());
         let json = snap.to_json();
@@ -1199,7 +1162,7 @@ mod tests {
         m.job_completed(Duration::from_micros(400));
         m.queue_wait.record(Duration::from_micros(30));
         m.queue_wait.record(Duration::from_micros(90));
-        let snap = m.snapshot(CacheStats::default(), 0, 1);
+        let snap = m.snapshot(0, 1);
         assert_eq!(snap.latency.count, 1);
         assert_eq!(snap.queue_wait.count, 2);
         assert_eq!(snap.version, env!("CARGO_PKG_VERSION"));
@@ -1229,15 +1192,8 @@ mod tests {
         m.tenant_job("acme", JobKind::Detect, Duration::from_micros(90));
         m.tenant_job("zeta\"esc", JobKind::Embed, Duration::from_micros(50));
         m.slow_log_suppressed.fetch_add(7, Ordering::Relaxed);
-        let mut snap = m.snapshot(
-            CacheStats {
-                hits: 9,
-                misses: 3,
-                entries: 12,
-            },
-            2,
-            2,
-        );
+        m.storage_errors.fetch_add(3, Ordering::Relaxed);
+        let mut snap = m.snapshot(2, 2);
         snap.shard = Some("1/2".into());
         snap.role = Some("primary".into());
         snap.log_seq = 17;
@@ -1258,6 +1214,8 @@ mod tests {
             get("freqywm_slow_log_suppressed_total").samples[0].value,
             7.0
         );
+        assert_eq!(get("freqywm_storage_errors_total").samples[0].value, 3.0);
+        assert!(families.iter().all(|f| !f.name.contains("prf_cache")));
         assert_eq!(get("freqywm_log_seq").samples[0].value, 17.0);
         assert_eq!(
             get("freqywm_role").samples[0].label("role"),
@@ -1283,22 +1241,14 @@ mod tests {
         let m = Metrics::default();
         m.job_submitted();
         m.job_completed(Duration::from_micros(100));
-        let older = HistorySample::from_snapshot(&m.snapshot(CacheStats::default(), 0, 1));
+        let older = HistorySample::from_snapshot(&m.snapshot(0, 1));
         for _ in 0..10 {
             m.job_submitted();
             m.job_completed(Duration::from_micros(300));
             m.queue_wait.record(Duration::from_micros(100));
         }
         m.net.add_bytes_in(5000);
-        let newer = HistorySample::from_snapshot(&m.snapshot(
-            CacheStats {
-                hits: 8,
-                misses: 2,
-                entries: 10,
-            },
-            0,
-            1,
-        ));
+        let newer = HistorySample::from_snapshot(&m.snapshot(0, 1));
         let sample_json = newer.to_json(12_345);
         let v = crate::proto::json::parse(&sample_json).expect("well-formed");
         assert_eq!(v.get("t_ms").unwrap().as_u64(), Some(12_345));
@@ -1310,7 +1260,7 @@ mod tests {
         assert_eq!(r.get("window_s").unwrap().as_f64(), Some(2.0));
         // 10 completions over 2 s.
         assert_eq!(r.get("completed_per_s").unwrap().as_f64(), Some(5.0));
-        assert_eq!(r.get("cache_hit_rate").unwrap().as_f64(), Some(0.8));
+        assert!(r.get("cache_hit_rate").is_none());
         // 10 × 300 µs run + 10 × 100 µs wait → wait share 0.25.
         assert_eq!(r.get("queue_wait_share").unwrap().as_f64(), Some(0.25));
         assert_eq!(r.get("mean_latency_us").unwrap().as_f64(), Some(300.0));
@@ -1324,7 +1274,7 @@ mod tests {
         m.quota_refused("greedy");
         m.quota_refused("greedy");
         m.quota_refused("greedy");
-        let snap = m.snapshot(CacheStats::default(), 0, 2);
+        let snap = m.snapshot(0, 2);
         assert_eq!(snap.quota_refused, 3);
         // The queue-pressure counter stays untouched by quota refusals.
         assert_eq!(snap.rejected, 0);
@@ -1371,7 +1321,7 @@ mod tests {
         m.tenant_job("acme", JobKind::Embed, Duration::from_micros(1000));
         m.tenant_job("zeta", JobKind::Maintain, Duration::from_micros(5));
         m.tenant_rejected("zeta");
-        let snap = m.snapshot(CacheStats::default(), 0, 2);
+        let snap = m.snapshot(0, 2);
         assert_eq!(snap.per_tenant.len(), 2);
         assert_eq!(snap.per_tenant[0].tenant, "acme"); // sorted
         assert_eq!(snap.per_tenant[0].ops.detect, 2);

@@ -1,11 +1,14 @@
 //! Sharded LRU memoization of the pair PRF.
 //!
-//! Detection re-derives `s_ij = H(tk_i ‖ H(R ‖ tk_j)) mod z` for every
-//! stored pair on every run — two SHA-256 compressions per pair. A
-//! marketplace re-verifying the same vocabularies against the same
-//! tenants pays that again and again; this cache keys the final modulus
-//! on `(tenant tag, z, tk_i, tk_j)` and turns repeat detections into
-//! hash-map hits.
+//! **Not on any serving path.** The engine computes every modulus
+//! directly: with the SHA-NI compression and the limb reduction, one
+//! `s_ij = H(tk_i ‖ H(R ‖ tk_j)) mod z` costs less than a lookup here,
+//! and the direct eligible sweep reuses each token's inner digest,
+//! which a per-pair cache cannot. The type stays as a library item
+//! because the benchmark's `prf_cache.*` probe still times a hit
+//! against a recomputation; it can go once that probe is retired.
+//!
+//! The cache keys the final modulus on `(tenant tag, z, tk_i, tk_j)`.
 //!
 //! Sharding: the key hash picks one of `shards` independently locked
 //! LRU maps, so concurrent detect jobs rarely contend. Each shard is a

@@ -47,9 +47,6 @@ pub struct TenantSnapshot {
 #[derive(Debug)]
 struct TenantRecord {
     secret: Secret,
-    /// Precomputed [`Secret::cache_tag`] so per-job cache keying does
-    /// not re-hash the secret.
-    cache_tag: u64,
     ledger_index: u64,
     registered_at: u64,
     watermarks: Vec<StoredWatermark>,
@@ -111,12 +108,10 @@ impl KeyRegistry {
         }
         let material = tenant_material(tenant, &secret);
         let ledger_index = self.ledger.register(now, tenant, &material);
-        let cache_tag = secret.cache_tag();
         self.tenants.insert(
             tenant.to_string(),
             TenantRecord {
                 secret,
-                cache_tag,
                 ledger_index,
                 registered_at: now,
                 watermarks: Vec::new(),
@@ -126,20 +121,15 @@ impl KeyRegistry {
     }
 
     /// Rebuilds a registry from a verified ledger and tenant snapshots
-    /// (the recovery path). Cache tags are recomputed — they are
-    /// derived from the secret, so they come back identical across a
-    /// restart and recovered tenants keep hitting their old PRF-cache
-    /// entries only where the secret genuinely matches.
+    /// (the recovery path).
     pub fn restore(ledger: Ledger, tenants: Vec<TenantSnapshot>) -> Self {
         let tenants = tenants
             .into_iter()
             .map(|t| {
-                let cache_tag = t.secret.cache_tag();
                 (
                     t.tenant,
                     TenantRecord {
                         secret: t.secret,
-                        cache_tag,
                         ledger_index: t.ledger_index,
                         registered_at: t.registered_at,
                         watermarks: t.watermarks,
@@ -236,14 +226,6 @@ impl KeyRegistry {
         self.tenants
             .get(tenant)
             .map(|r| &r.secret)
-            .ok_or_else(|| ServiceError::UnknownTenant(tenant.to_string()))
-    }
-
-    /// The tenant's precomputed PRF-cache tag.
-    pub fn cache_tag(&self, tenant: &str) -> Result<u64> {
-        self.tenants
-            .get(tenant)
-            .map(|r| r.cache_tag)
             .ok_or_else(|| ServiceError::UnknownTenant(tenant.to_string()))
     }
 
@@ -374,10 +356,6 @@ mod tests {
         assert_eq!(idx, 0);
         assert!(r.contains("acme"));
         assert_eq!(r.secret("acme").unwrap(), &Secret::from_label("acme"));
-        assert_eq!(
-            r.cache_tag("acme").unwrap(),
-            Secret::from_label("acme").cache_tag()
-        );
         assert!(matches!(
             r.secret("ghost"),
             Err(ServiceError::UnknownTenant(_))

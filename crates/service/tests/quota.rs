@@ -245,3 +245,69 @@ fn tenant_removal_clears_quota_state() {
     run_embed(&engine, "t");
     engine.shutdown();
 }
+
+/// A quota checkpoint that cannot be persisted is counted, not
+/// swallowed: `storage_errors` moves (JSON and Prometheus), and the
+/// admission decision it rode on still stands — the job runs.
+#[test]
+fn failed_quota_checkpoint_is_counted_and_the_job_still_runs() {
+    use freqywm_core::params::DetectionParams;
+    use freqywm_service::FaultyStorage;
+    let storage = InMemoryStorage::new();
+    let config = || EngineConfig {
+        workers: 2,
+        ledger_key: KEY.to_vec(),
+        quota: QuotaConfig {
+            limits: QuotaLimits {
+                embed: UNLIMITED,
+                detect: 1,
+                maintain: UNLIMITED,
+            },
+            window_ms: 3_600_000,
+        },
+        ..EngineConfig::default()
+    };
+    let marked = {
+        let engine = Engine::open(config(), Box::new(storage.clone())).unwrap();
+        engine
+            .register_tenant("acme", Secret::from_label("acme"))
+            .unwrap();
+        let JobState::Completed(JobOutput::Embed(out)) = engine.run(embed_spec("acme")) else {
+            panic!("embed failed");
+        };
+        engine.shutdown();
+        out.watermarked
+    };
+
+    // Reopen over a backend whose every write fails.
+    let engine = Engine::open(config(), Box::new(FaultyStorage::new(storage, 0))).unwrap();
+    assert_eq!(engine.metrics().storage_errors, 0);
+    // The detect spends the tenant's whole budget, which asks for a
+    // durable checkpoint; the write fails.
+    let state = engine.run(JobSpec::new(JobPayload::Detect {
+        tenant: "acme".into(),
+        data: JobData::Histogram(marked),
+        params: DetectionParams::default().with_t(0).with_k(1),
+    }));
+    let JobState::Completed(JobOutput::Detect(d)) = state else {
+        panic!("admitted detect must still run: {state:?}");
+    };
+    assert!(d.outcome.accepted);
+    let m = engine.metrics();
+    assert_eq!(m.storage_errors, 1);
+    assert_eq!(m.detect_jobs, 1);
+    assert!(
+        m.to_json().contains("\"storage_errors\":1"),
+        "{}",
+        m.to_json()
+    );
+    assert!(m.to_prom().contains("freqywm_storage_errors_total 1"));
+    // The budget itself is enforced in memory regardless.
+    let again = engine.submit(JobSpec::new(JobPayload::Detect {
+        tenant: "acme".into(),
+        data: JobData::Histogram(hist()),
+        params: DetectionParams::default(),
+    }));
+    assert!(matches!(again, Err(ServiceError::QuotaExhausted { .. })));
+    engine.shutdown();
+}

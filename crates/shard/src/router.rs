@@ -318,8 +318,6 @@ struct Fanout {
     id_part: String,
     kind: FanoutKind,
     remaining: usize,
-    /// Shards the request was actually sent to (connected at creation).
-    targets: Vec<usize>,
     /// Per-shard parsed responses (None: shard down or reply lost).
     pieces: Vec<Option<Value>>,
 }
@@ -1254,7 +1252,6 @@ impl Router {
                 id_part,
                 kind,
                 remaining: connected.len(),
-                targets: connected.clone(),
                 pieces: vec![None; self.backends.len()],
             },
         );
@@ -1293,32 +1290,32 @@ impl Router {
         let resp = match f.kind {
             FanoutKind::Shutdown => {
                 // Honest ack: a backend that refused the shutdown op
-                // (e.g. wrong --shard-auth-token) or died before
-                // answering did NOT shut down — the router still
-                // drains itself, but the client must not be told the
-                // tier went down when it didn't.
+                // (e.g. wrong --shard-auth-token), died before
+                // answering, or had no live link to be sent it (down
+                // or reconnecting) did NOT shut down — the router
+                // still drains itself, but the client must not be told
+                // the tier went down when it didn't.
                 let unacked: Vec<String> = f
-                    .targets
+                    .pieces
                     .iter()
-                    .filter(|&&i| {
-                        f.pieces[i]
+                    .enumerate()
+                    .filter(|(_, piece)| {
+                        piece
                             .as_ref()
                             .and_then(|v| v.get("ok"))
                             .and_then(Value::as_bool)
                             != Some(true)
                     })
-                    .map(|i| i.to_string())
+                    .map(|(i, _)| i.to_string())
                     .collect();
                 if unacked.is_empty() {
                     format!("{{\"ok\":true{},\"op\":\"shutdown\"}}", f.id_part)
                 } else {
-                    err_with_part(
-                        &f.id_part,
-                        &format!(
-                            "router draining, but shutdown was not acknowledged by \
-                             shard(s) {}",
-                            unacked.join(", ")
-                        ),
+                    format!(
+                        "{{\"ok\":false{},\"op\":\"shutdown\",\"error\":\"router draining, \
+                         but shutdown was not acknowledged by shard(s) {}\"}}",
+                        f.id_part,
+                        unacked.join(", ")
                     )
                 }
             }

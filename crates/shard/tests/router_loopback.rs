@@ -654,6 +654,37 @@ fn shutdown_ack_is_honest_when_backends_refuse() {
 }
 
 #[test]
+fn shutdown_ack_names_a_disconnected_shard() {
+    // Shard 1 dies out from under the router, which keeps redialling
+    // it. A tier shutdown then reaches only shard 0: the client must be
+    // told shard 1 never acknowledged, while shard 0 still shuts down.
+    let b0 = start_backend(Some((0, 2)), None);
+    let b1 = start_backend(Some((1, 2)), None);
+    let (router_addr, router) = start_router(&[&b0, &b1], |_| {});
+    let mut c = Client::connect(router_addr);
+    wait_until_shards_up(&mut c, 2);
+
+    let mut direct = Client::connect(b1.addr);
+    let ack = direct.request(r#"{"op":"shutdown"}"#);
+    assert!(ack.contains("\"ok\":true"), "{ack}");
+    drop(direct);
+    b1.handle.join().unwrap().expect("backend 1 drains");
+    wait_until_shards_up(&mut c, 1);
+
+    let r = c.request(r#"{"op":"shutdown","id":"tier"}"#);
+    assert!(r.contains("\"ok\":false"), "{r}");
+    assert!(r.contains("\"op\":\"shutdown\""), "{r}");
+    assert!(r.contains("not acknowledged by shard(s) 1\""), "{r}");
+    assert!(r.contains("\"id\":\"tier\""), "{r}");
+    let mut rest = String::new();
+    c.reader.read_to_string(&mut rest).expect("router closes");
+    router.join().unwrap().expect("router exits cleanly");
+    b0.handle.join().unwrap().expect("live backend 0 shut down");
+    b0.engine.shutdown();
+    b1.engine.shutdown();
+}
+
+#[test]
 fn auth_gates_clients_and_authenticates_to_backends() {
     let b0 = start_backend(None, Some("backend-secret"));
     let (router_addr, router) = start_router(&[&b0], |c| {
