@@ -244,9 +244,12 @@ fn two_shard_deployment_serves_50_tenants_survives_a_kill_and_drains() {
         );
     }
 
-    // Tier drain through the router: ack, EOF, both processes exit 0.
+    // Tier drain through the router: the ack names shard 1, which was
+    // dead and never received it; then EOF, and both live processes
+    // exit 0.
     let ack = admin.request(r#"{"op":"shutdown"}"#);
-    assert!(ack.contains("\"op\":\"shutdown\""), "{ack}");
+    assert!(ack.contains("\"ok\":false"), "{ack}");
+    assert!(ack.contains("not acknowledged by shard(s) 1\""), "{ack}");
     let mut rest = String::new();
     admin
         .reader

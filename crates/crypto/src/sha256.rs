@@ -277,30 +277,12 @@ pub fn sha256(data: &[u8]) -> Digest {
 
 /// One-shot SHA-256 over the concatenation of several byte slices,
 /// avoiding an intermediate allocation.
-///
-/// A message of at most 55 bytes — both halves of the pair PRF for
-/// tokens up to 23 bytes — is padded into one block on the stack and
-/// compressed once, skipping the incremental hasher's buffering.
 pub fn sha256_concat(parts: &[&[u8]]) -> Digest {
-    let total: usize = parts.iter().map(|p| p.len()).sum();
-    if total > 55 {
-        let mut h = Sha256::new();
-        for p in parts {
-            h.update(p);
-        }
-        return h.finalize();
-    }
-    let mut block = [0u8; 64];
-    let mut at = 0;
+    let mut h = Sha256::new();
     for p in parts {
-        block[at..at + p.len()].copy_from_slice(p);
-        at += p.len();
+        h.update(p);
     }
-    block[at] = 0x80;
-    block[56..].copy_from_slice(&(total as u64 * 8).to_be_bytes());
-    let mut state = H0;
-    compress(&mut state, &block);
-    digest_of(&state)
+    h.finalize()
 }
 
 /// The big-endian digest bytes of a final hash state.

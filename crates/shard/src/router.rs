@@ -1311,11 +1311,13 @@ impl Router {
                 if unacked.is_empty() {
                     format!("{{\"ok\":true{},\"op\":\"shutdown\"}}", f.id_part)
                 } else {
-                    format!(
-                        "{{\"ok\":false{},\"op\":\"shutdown\",\"error\":\"router draining, \
-                         but shutdown was not acknowledged by shard(s) {}\"}}",
-                        f.id_part,
-                        unacked.join(", ")
+                    err_with_part(
+                        &f.id_part,
+                        &format!(
+                            "router draining, but shutdown was not acknowledged by \
+                             shard(s) {}",
+                            unacked.join(", ")
+                        ),
                     )
                 }
             }
