@@ -24,6 +24,9 @@ pub enum LineEvent {
 #[derive(Debug)]
 pub struct LineFramer {
     buf: Vec<u8>,
+    /// Prefix of `buf` already searched for a newline: each byte is
+    /// scanned once, however many reads a frame arrives in.
+    scanned: usize,
     max_frame: usize,
     /// Discarding an oversized frame until its terminating newline.
     skipping: bool,
@@ -33,6 +36,7 @@ impl LineFramer {
     pub fn new(max_frame: usize) -> Self {
         LineFramer {
             buf: Vec::new(),
+            scanned: 0,
             max_frame,
             skipping: false,
         }
@@ -43,8 +47,9 @@ impl LineFramer {
     pub fn push(&mut self, bytes: &[u8], mut sink: impl FnMut(LineEvent)) {
         self.buf.extend_from_slice(bytes);
         let mut start = 0;
-        while let Some(rel) = self.buf[start..].iter().position(|&b| b == b'\n') {
-            let end = start + rel;
+        let mut from = self.scanned;
+        while let Some(rel) = self.buf[from..].iter().position(|&b| b == b'\n') {
+            let end = from + rel;
             if self.skipping {
                 // Tail of a frame whose prefix already overflowed.
                 self.skipping = false;
@@ -55,23 +60,30 @@ impl LineFramer {
                 sink(LineEvent::Line(line));
             }
             start = end + 1;
+            from = start;
         }
         if start > 0 {
             self.buf.drain(..start);
         }
-        if !self.skipping && self.buf.len() > self.max_frame {
+        if self.skipping {
+            // No newline left: every byte belongs to the frame being
+            // discarded.
+            self.buf.clear();
+        } else if self.buf.len() > self.max_frame {
             // Overflow before any newline: report now, discard until
             // the frame eventually terminates.
             sink(LineEvent::Oversized);
             self.skipping = true;
             self.buf.clear();
         }
+        self.scanned = self.buf.len();
     }
 
     /// Flushes the unterminated tail at EOF: a final line without a
     /// trailing newline is still delivered. (An oversized tail already
     /// got its event when the overflow was detected.)
     pub fn finish(&mut self, mut sink: impl FnMut(LineEvent)) {
+        self.scanned = 0;
         if self.skipping {
             self.skipping = false;
             self.buf.clear();
@@ -122,6 +134,19 @@ mod tests {
         let mut out = Vec::new();
         f.finish(|e| out.push(e));
         assert_eq!(out, vec![LineEvent::Line("b".into())]);
+    }
+
+    #[test]
+    fn a_frame_trickled_byte_by_byte_is_scanned_once() {
+        // Rescanning the buffered prefix on every read made this
+        // quadratic: ~3·10^10 byte compares for 256 KiB.
+        let frame = vec![b'x'; 256 * 1024];
+        let mut f = LineFramer::new(frame.len());
+        for b in &frame {
+            assert_eq!(collect(&mut f, std::slice::from_ref(b)), vec![]);
+        }
+        let want = String::from_utf8(frame).unwrap();
+        assert_eq!(collect(&mut f, b"\n"), vec![LineEvent::Line(want)]);
     }
 
     #[test]
