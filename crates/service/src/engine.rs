@@ -936,11 +936,16 @@ fn checkpoint_quota(shared: &Shared, tenant: &str, used: [u64; 3], at_ms: u64) {
 /// [`Engine::metrics`] and the sampler thread).
 fn snapshot_shared(shared: &Shared) -> MetricsSnapshot {
     let queue_depth = shared.queue.lock().expect("queue lock poisoned").len();
-    let (tenants, log_seq) = {
+    let (tenants, log_seq, failed_snapshots) = {
         let registry = shared.registry.read().expect("registry lock poisoned");
-        (registry.len(), registry.next_seq())
+        (
+            registry.len(),
+            registry.next_seq(),
+            registry.failed_snapshots(),
+        )
     };
     let mut snapshot = shared.metrics.snapshot(queue_depth, tenants);
+    snapshot.storage_errors += failed_snapshots;
     snapshot.shard = shared
         .config
         .shard_gate

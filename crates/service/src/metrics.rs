@@ -203,8 +203,10 @@ pub struct Metrics {
     /// latency storm shows up here instead of flooding the log.
     pub slow_log_suppressed: AtomicU64,
     /// Storage writes that failed off the request path (quota
-    /// checkpoints): the request they rode on still stands, so the
-    /// failure is counted here instead of failing it.
+    /// checkpoints; periodic registry snapshots are added from the
+    /// registry's own count at snapshot time): the request they rode on
+    /// still stands, so the failure is counted here instead of failing
+    /// it.
     pub storage_errors: AtomicU64,
     /// Run time: dequeue → completion.
     pub latency: LatencyHistogram,

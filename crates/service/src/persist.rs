@@ -473,6 +473,9 @@ pub struct DurableRegistry {
     read_only: bool,
     events_since_snapshot: usize,
     snapshot_every: usize,
+    /// Periodic snapshots that failed to install (see
+    /// [`Self::failed_snapshots`]).
+    failed_snapshots: u64,
     recovery: RecoveryReport,
 }
 
@@ -591,6 +594,7 @@ impl DurableRegistry {
             poisoned: false,
             read_only: !repair,
             events_since_snapshot: 0,
+            failed_snapshots: 0,
             snapshot_every,
             recovery,
         })
@@ -642,16 +646,34 @@ impl DurableRegistry {
         self.next_seq += 1;
         self.clock_floor = self.clock_floor.max(ev.now());
         apply(&mut self.inner, ev).expect("validated event cannot fail to apply");
-        self.events_since_snapshot += 1;
-        if self.storage.is_durable()
-            && self.snapshot_every > 0
-            && self.events_since_snapshot >= self.snapshot_every
-        {
-            // Best-effort compaction: the event itself is already
-            // durable, so a failed snapshot only means a longer replay.
-            let _ = self.snapshot_now();
-        }
+        self.compact_if_due();
         Ok(())
+    }
+
+    /// Counts one more applied event and, every `snapshot_every`
+    /// events, compacts. Best-effort: the event itself is already
+    /// durable, so a failed snapshot only means a longer replay. It is
+    /// counted, and the first one logged to stderr.
+    fn compact_if_due(&mut self) {
+        self.events_since_snapshot += 1;
+        if !self.storage.is_durable()
+            || self.snapshot_every == 0
+            || self.events_since_snapshot < self.snapshot_every
+        {
+            return;
+        }
+        if let Err(e) = self.snapshot_now() {
+            self.failed_snapshots += 1;
+            if self.failed_snapshots == 1 {
+                eprintln!("freqywm: registry snapshot not installed, the log keeps growing: {e}");
+            }
+        }
+    }
+
+    /// Periodic snapshots that failed to install since open. The engine
+    /// reports them in `storage_errors`.
+    pub fn failed_snapshots(&self) -> u64 {
+        self.failed_snapshots
     }
 
     /// Installs a snapshot of the current state and truncates the log.
@@ -909,13 +931,7 @@ impl DurableRegistry {
         self.next_seq += 1;
         self.clock_floor = self.clock_floor.max(ev.now());
         apply(&mut self.inner, ev).expect("validated event cannot fail to apply");
-        self.events_since_snapshot += 1;
-        if self.storage.is_durable()
-            && self.snapshot_every > 0
-            && self.events_since_snapshot >= self.snapshot_every
-        {
-            let _ = self.snapshot_now();
-        }
+        self.compact_if_due();
         Ok(true)
     }
 

@@ -18,6 +18,7 @@ use freqywm_data::token::Token;
 use freqywm_service::engine::{Engine, EngineConfig};
 use freqywm_service::job::{JobData, JobOutput, JobPayload, JobSpec, JobState};
 use freqywm_service::persist::DurableRegistry;
+use freqywm_service::proto::handle_line;
 use freqywm_service::storage::{DiskLog, FaultyStorage, InMemoryStorage, Storage};
 use freqywm_service::ServiceError;
 
@@ -367,4 +368,40 @@ fn recovery_is_idempotent() {
     assert_eq!(a.ledger().head_hash(), b.ledger().head_hash());
     assert_eq!(a.ledger().entries(), b.ledger().entries());
     assert_eq!(a.clock_floor(), b.clock_floor());
+}
+
+/// A periodic snapshot that cannot be installed is counted in
+/// `storage_errors`, never swallowed. The mutation it follows is
+/// already durable, so the request still answers `ok`.
+#[test]
+fn failed_periodic_snapshot_is_counted_and_the_request_succeeds() {
+    let config = |snapshot_every| EngineConfig {
+        workers: 1,
+        ledger_key: KEY.to_vec(),
+        snapshot_every,
+        ..EngineConfig::default()
+    };
+    let register = r#"{"op":"register","tenant":"acme","secret_label":"acme"}"#;
+    // The budget fits the registration's log append and nothing more.
+    let probe = InMemoryStorage::new();
+    let engine = Engine::open(config(0), Box::new(probe.clone())).unwrap();
+    assert!(handle_line(&engine, register).contains("\"ok\":true"));
+    engine.shutdown();
+    let budget = probe.log_len();
+
+    let storage = InMemoryStorage::new();
+    let faulty = FaultyStorage::new(storage.clone(), budget);
+    let engine = Engine::open(config(1), Box::new(faulty)).unwrap();
+    let r = handle_line(&engine, register);
+    assert!(r.contains("\"ok\":true"), "{r}");
+    let m = engine.metrics();
+    assert_eq!(m.storage_errors, 1);
+    assert!(m.to_json().contains("\"storage_errors\":1"));
+    engine.shutdown();
+
+    // The event itself is durable: a reopen replays it from the log.
+    let engine = Engine::open(config(1), Box::new(storage)).unwrap();
+    assert!(engine.registry().contains("acme"));
+    assert_eq!(engine.registry().recovery_report().replayed_events, 1);
+    engine.shutdown();
 }
