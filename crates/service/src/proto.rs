@@ -41,7 +41,7 @@ use freqywm_core::params::{DetectionParams, GenerationParams};
 use freqywm_crypto::prf::Secret;
 use freqywm_data::token::Token;
 use freqywm_obs::{OpKind, Span, Stage, TraceFilter};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{BufRead, Write};
 use std::time::{Duration, Instant};
 
@@ -50,7 +50,10 @@ use std::time::{Duration, Instant};
 pub const DEFAULT_MAX_FRAME: usize = 1 << 20;
 
 pub mod json {
-    //! Minimal JSON: parse into a [`Value`] tree, escape strings out.
+    //! Minimal JSON: parse into a [`Value`] tree, escape strings out,
+    //! and walk a request line without building its bulk arrays.
+
+    use std::borrow::Cow;
 
     /// A parsed JSON value. Numbers are `f64` (counts fit exactly up to
     /// 2^53, far beyond any realistic token frequency).
@@ -162,6 +165,7 @@ pub mod json {
     pub const MAX_DEPTH: usize = 128;
 
     struct Parser<'a> {
+        src: &'a str,
         bytes: &'a [u8],
         pos: usize,
         /// Arrays/objects currently open.
@@ -170,22 +174,134 @@ pub mod json {
 
     /// Parses one JSON document (trailing whitespace allowed). Input
     /// nested deeper than [`MAX_DEPTH`] is an error, never a stack
-    /// overflow.
+    /// overflow. Numbers must be finite.
     pub fn parse(input: &str) -> Result<Value, String> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-            depth: 0,
-        };
+        let mut p = Parser::new(input);
         let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing bytes at offset {}", p.pos));
-        }
+        p.end()?;
         Ok(v)
     }
 
+    /// The request fields [`parse_request`] validates but never builds
+    /// when their value is an array.
+    const BULK_KEYS: [&str; 3] = ["counts", "tokens", "updates"];
+
+    /// One request line walked in a single pass: every field except
+    /// the bulk arrays is built as a small [`Value::Obj`]; a `counts`,
+    /// `tokens` or `updates` array is validated and kept as its source
+    /// text, decoded only on demand through [`Request::bulk`]. As with
+    /// [`Value::get`], the first occurrence of a key wins.
+    pub struct Request<'a> {
+        fields: Value,
+        bulk: [Option<&'a str>; 3],
+    }
+
+    /// Walks one request line: accepts exactly the inputs [`parse`]
+    /// accepts, with the same errors, but builds no tree for the bulk
+    /// arrays. A line that is not an object has no fields.
+    pub fn parse_request(input: &str) -> Result<Request<'_>, String> {
+        let mut p = Parser::new(input);
+        let mut fields = Vec::new();
+        let mut bulk = [None; 3];
+        let mut seen = [false; 3];
+        if p.peek()? == b'{' {
+            p.object(true, |p, key| {
+                let Some(slot) = BULK_KEYS.iter().position(|k| *k == key) else {
+                    fields.push((key.into_owned(), p.value()?));
+                    return Ok(());
+                };
+                if std::mem::replace(&mut seen[slot], true) {
+                    return p.skip();
+                }
+                if p.peek()? == b'[' {
+                    let start = p.pos;
+                    p.skip()?;
+                    bulk[slot] = Some(&p.src[start..p.pos]);
+                } else {
+                    fields.push((key.into_owned(), p.value()?));
+                }
+                Ok(())
+            })?;
+        } else {
+            p.skip()?;
+        }
+        p.end()?;
+        Ok(Request {
+            fields: Value::Obj(fields),
+            bulk,
+        })
+    }
+
+    impl<'a> Request<'a> {
+        /// A field other than a bulk array.
+        pub fn get(&self, key: &str) -> Option<&Value> {
+            self.fields.get(key)
+        }
+
+        /// Every field except the bulk arrays, as a [`Value::Obj`].
+        pub fn fields(&self) -> &Value {
+            &self.fields
+        }
+
+        pub fn into_fields(self) -> Value {
+            self.fields
+        }
+
+        /// The bulk array under `key` (`counts`, `tokens` or
+        /// `updates`): `None` when the request has no such field, an
+        /// error when the field is not an array.
+        pub fn bulk(&self, key: &str) -> Option<Result<Items<'a>, String>> {
+            let slot = BULK_KEYS.iter().position(|k| *k == key)?;
+            match self.bulk[slot] {
+                Some(text) => Some(Ok(Items(text))),
+                None => self
+                    .get(key)
+                    .map(|_| Err(format!("{key} must be an array"))),
+            }
+        }
+    }
+
+    /// A validated bulk array from [`Request::bulk`].
+    pub struct Items<'a>(&'a str);
+
+    /// One element of a bulk array, decoded only as deep as the
+    /// protocol looks.
+    #[derive(Debug, PartialEq)]
+    pub enum Elem<'a> {
+        Str(Cow<'a, str>),
+        /// A two-element array led by a string; the second element is
+        /// kept only when it is a number.
+        Pair(Cow<'a, str>, Option<f64>),
+        /// Anything else.
+        Other,
+    }
+
+    impl<'a> Items<'a> {
+        /// Hands each element to `f`, in order, stopping at its first
+        /// error.
+        pub fn for_each(
+            &self,
+            mut f: impl FnMut(Elem<'a>) -> Result<(), String>,
+        ) -> Result<(), String> {
+            // The array sits inside the request object, at level 2.
+            let mut p = Parser {
+                depth: 1,
+                ..Parser::new(self.0)
+            };
+            p.array(|p| f(p.elem()?))
+        }
+    }
+
     impl<'a> Parser<'a> {
+        fn new(src: &'a str) -> Self {
+            Parser {
+                src,
+                bytes: src.as_bytes(),
+                pos: 0,
+                depth: 0,
+            }
+        }
+
         fn skip_ws(&mut self) {
             while let Some(&b) = self.bytes.get(self.pos) {
                 if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
@@ -213,142 +329,229 @@ pub mod json {
             }
         }
 
-        fn literal(&mut self, lit: &str, v: Value) -> Result<Value, String> {
+        /// Only trailing whitespace may follow the document.
+        fn end(&mut self) -> Result<(), String> {
+            self.skip_ws();
+            if self.pos != self.bytes.len() {
+                return Err(format!("trailing bytes at offset {}", self.pos));
+            }
+            Ok(())
+        }
+
+        fn literal(&mut self, lit: &str) -> Result<(), String> {
             if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
                 self.pos += lit.len();
-                Ok(v)
+                Ok(())
             } else {
                 Err(format!("bad literal at offset {}", self.pos))
             }
         }
 
         fn value(&mut self) -> Result<Value, String> {
+            Ok(match self.peek()? {
+                b'{' => {
+                    let mut fields = Vec::new();
+                    self.object(true, |p, key| {
+                        fields.push((key.into_owned(), p.value()?));
+                        Ok(())
+                    })?;
+                    Value::Obj(fields)
+                }
+                b'[' => {
+                    let mut items = Vec::new();
+                    self.array(|p| {
+                        items.push(p.value()?);
+                        Ok(())
+                    })?;
+                    Value::Arr(items)
+                }
+                b'"' => Value::Str(self.string(true)?.into_owned()),
+                b't' => self.literal("true").map(|()| Value::Bool(true))?,
+                b'f' => self.literal("false").map(|()| Value::Bool(false))?,
+                b'n' => self.literal("null").map(|()| Value::Null)?,
+                _ => Value::Num(self.number()?),
+            })
+        }
+
+        /// Validates one value exactly as [`Parser::value`] would —
+        /// same depth cap, escapes and numbers — and builds nothing.
+        fn skip(&mut self) -> Result<(), String> {
             match self.peek()? {
-                b'{' | b'[' if self.depth == MAX_DEPTH => Err(format!(
-                    "nesting deeper than {MAX_DEPTH} levels at offset {}",
-                    self.pos
-                )),
-                b'{' => self.nested(Self::object),
-                b'[' => self.nested(Self::array),
-                b'"' => Ok(Value::Str(self.string()?)),
-                b't' => self.literal("true", Value::Bool(true)),
-                b'f' => self.literal("false", Value::Bool(false)),
-                b'n' => self.literal("null", Value::Null),
-                _ => self.number(),
+                b'{' => self.object(false, |p, _| p.skip()),
+                b'[' => self.array(Self::skip),
+                b'"' => self.string(false).map(drop),
+                b't' => self.literal("true"),
+                b'f' => self.literal("false"),
+                b'n' => self.literal("null"),
+                _ => self.number().map(drop),
             }
         }
 
+        /// One bulk-array element, see [`Elem`].
+        fn elem(&mut self) -> Result<Elem<'a>, String> {
+            match self.peek()? {
+                b'"' => Ok(Elem::Str(self.string(true)?)),
+                b'[' => {
+                    let (mut len, mut text, mut num) = (0, None, None);
+                    self.array(|p| {
+                        match (len, p.peek()?) {
+                            (0, b'"') => text = Some(p.string(true)?),
+                            (1, b) if !matches!(b, b'"' | b'[' | b'{' | b't' | b'f' | b'n') => {
+                                num = Some(p.number()?)
+                            }
+                            _ => p.skip()?,
+                        }
+                        len += 1;
+                        Ok(())
+                    })?;
+                    Ok(match text {
+                        Some(text) if len == 2 => Elem::Pair(text, num),
+                        _ => Elem::Other,
+                    })
+                }
+                _ => self.skip().map(|()| Elem::Other),
+            }
+        }
+
+        /// Runs `body` one nesting level deeper, refusing to pass
+        /// [`MAX_DEPTH`].
         fn nested(
             &mut self,
-            parse: fn(&mut Self) -> Result<Value, String>,
-        ) -> Result<Value, String> {
+            body: impl FnOnce(&mut Self) -> Result<(), String>,
+        ) -> Result<(), String> {
+            if self.depth == MAX_DEPTH {
+                return Err(format!(
+                    "nesting deeper than {MAX_DEPTH} levels at offset {}",
+                    self.pos
+                ));
+            }
             self.depth += 1;
-            let v = parse(self);
+            let r = body(self);
             self.depth -= 1;
-            v
+            r
         }
 
-        fn object(&mut self) -> Result<Value, String> {
-            self.expect(b'{')?;
-            let mut fields = Vec::new();
-            if self.peek()? == b'}' {
-                self.pos += 1;
-                return Ok(Value::Obj(fields));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.expect(b':')?;
-                fields.push((key, self.value()?));
-                match self.peek()? {
-                    b',' => self.pos += 1,
-                    b'}' => {
-                        self.pos += 1;
-                        return Ok(Value::Obj(fields));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at offset {}", self.pos)),
+        /// Parses one object, handing each key to `field`, which must
+        /// consume the value. Keys are decoded only with `decode_keys`.
+        fn object(
+            &mut self,
+            decode_keys: bool,
+            mut field: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), String>,
+        ) -> Result<(), String> {
+            self.nested(|p| {
+                p.expect(b'{')?;
+                if p.peek()? == b'}' {
+                    p.pos += 1;
+                    return Ok(());
                 }
-            }
-        }
-
-        fn array(&mut self) -> Result<Value, String> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            if self.peek()? == b']' {
-                self.pos += 1;
-                return Ok(Value::Arr(items));
-            }
-            loop {
-                items.push(self.value()?);
-                match self.peek()? {
-                    b',' => self.pos += 1,
-                    b']' => {
-                        self.pos += 1;
-                        return Ok(Value::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at offset {}", self.pos)),
-                }
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                let b = *self.bytes.get(self.pos).ok_or("unterminated string")?;
-                self.pos += 1;
-                match b {
-                    b'"' => return Ok(out),
-                    b'\\' => {
-                        let e = *self.bytes.get(self.pos).ok_or("unterminated escape")?;
-                        self.pos += 1;
-                        match e {
-                            b'"' => out.push('"'),
-                            b'\\' => out.push('\\'),
-                            b'/' => out.push('/'),
-                            b'n' => out.push('\n'),
-                            b't' => out.push('\t'),
-                            b'r' => out.push('\r'),
-                            b'b' => out.push('\u{8}'),
-                            b'f' => out.push('\u{c}'),
-                            b'u' => {
-                                let hex = self
-                                    .bytes
-                                    .get(self.pos..self.pos + 4)
-                                    .ok_or("truncated \\u escape")?;
-                                let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                                let code =
-                                    u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                                self.pos += 4;
-                                // Surrogate pairs unsupported (BMP only) —
-                                // tokens in this protocol are ordinary text.
-                                out.push(
-                                    char::from_u32(code)
-                                        .ok_or("surrogate \\u escape unsupported")?,
-                                );
-                            }
-                            _ => return Err(format!("bad escape at offset {}", self.pos)),
+                loop {
+                    p.skip_ws();
+                    let key = p.string(decode_keys)?;
+                    p.expect(b':')?;
+                    field(p, key)?;
+                    match p.peek()? {
+                        b',' => p.pos += 1,
+                        b'}' => {
+                            p.pos += 1;
+                            return Ok(());
                         }
+                        _ => return Err(format!("expected ',' or '}}' at offset {}", p.pos)),
                     }
-                    _ => {
-                        // Re-sync to char boundary for multi-byte UTF-8.
-                        let start = self.pos - 1;
-                        let width = utf8_width(b);
-                        let end = start + width;
-                        let chunk = self
-                            .bytes
-                            .get(start..end)
-                            .ok_or("truncated UTF-8 sequence")?;
-                        let s =
-                            std::str::from_utf8(chunk).map_err(|_| "invalid UTF-8 in string")?;
-                        out.push_str(s);
-                        self.pos = end;
+                }
+            })
+        }
+
+        /// Parses one array, handing each element to `item`, which must
+        /// consume it.
+        fn array(
+            &mut self,
+            mut item: impl FnMut(&mut Self) -> Result<(), String>,
+        ) -> Result<(), String> {
+            self.nested(|p| {
+                p.expect(b'[')?;
+                if p.peek()? == b']' {
+                    p.pos += 1;
+                    return Ok(());
+                }
+                loop {
+                    item(p)?;
+                    match p.peek()? {
+                        b',' => p.pos += 1,
+                        b']' => {
+                            p.pos += 1;
+                            return Ok(());
+                        }
+                        _ => return Err(format!("expected ',' or ']' at offset {}", p.pos)),
                     }
+                }
+            })
+        }
+
+        /// Scans one string literal, checking every escape. With
+        /// `decode` it returns the text, borrowed from the input unless
+        /// it holds an escape; without, the raw body, allocating
+        /// nothing. Each run up to the next `"` or `\` is copied whole:
+        /// both are ASCII, so a run always ends on a char boundary.
+        fn string(&mut self, decode: bool) -> Result<Cow<'a, str>, String> {
+            self.expect(b'"')?;
+            let start = self.pos;
+            let mut out: Option<String> = None;
+            loop {
+                let run = self.pos;
+                let len = self.bytes[run..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .ok_or("unterminated string")?;
+                self.pos = run + len + 1;
+                let text = &self.src[run..run + len];
+                if self.bytes[run + len] == b'"' {
+                    return Ok(match out {
+                        Some(mut s) => {
+                            s.push_str(text);
+                            Cow::Owned(s)
+                        }
+                        None => Cow::Borrowed(&self.src[start..run + len]),
+                    });
+                }
+                let c = self.escape()?;
+                if decode {
+                    let s = out.get_or_insert_with(String::new);
+                    s.push_str(text);
+                    s.push(c);
                 }
             }
         }
 
-        fn number(&mut self) -> Result<Value, String> {
+        /// Decodes the escape after a backslash.
+        fn escape(&mut self) -> Result<char, String> {
+            let e = *self.bytes.get(self.pos).ok_or("unterminated escape")?;
+            self.pos += 1;
+            Ok(match e {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'/' => '/',
+                b'n' => '\n',
+                b't' => '\t',
+                b'r' => '\r',
+                b'b' => '\u{8}',
+                b'f' => '\u{c}',
+                b'u' => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos..self.pos + 4)
+                        .ok_or("truncated \\u escape")?;
+                    let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
+                    let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
+                    self.pos += 4;
+                    // Surrogate pairs unsupported (BMP only) — tokens in
+                    // this protocol are ordinary text.
+                    char::from_u32(code).ok_or("surrogate \\u escape unsupported")?
+                }
+                _ => return Err(format!("bad escape at offset {}", self.pos)),
+            })
+        }
+
+        fn number(&mut self) -> Result<f64, String> {
             self.skip_ws();
             let start = self.pos;
             while let Some(&b) = self.bytes.get(self.pos) {
@@ -358,25 +561,36 @@ pub mod json {
                     break;
                 }
             }
-            let text =
-                std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| "bad number")?;
-            text.parse::<f64>()
-                .map(Value::Num)
-                .map_err(|_| format!("bad number {text:?} at offset {start}"))
-        }
-    }
-
-    fn utf8_width(first: u8) -> usize {
-        match first {
-            0x00..=0x7F => 1,
-            0xC0..=0xDF => 2,
-            0xE0..=0xEF => 3,
-            _ => 4,
+            let text = &self.src[start..self.pos];
+            let bad = || format!("bad number {text:?} at offset {start}");
+            // Up to 15 digits always fit an f64 exactly: decode plain
+            // integers directly, everything else through `f64::from_str`.
+            let digits = text.strip_prefix('-').unwrap_or(text);
+            let n = if (1..=15).contains(&digits.len())
+                && digits.bytes().all(|b| b.is_ascii_digit())
+            {
+                let n = digits
+                    .bytes()
+                    .fold(0u64, |n, b| n * 10 + u64::from(b - b'0')) as f64;
+                if digits.len() < text.len() {
+                    -n
+                } else {
+                    n
+                }
+            } else {
+                text.parse::<f64>().map_err(|_| bad())?
+            };
+            // `1e400` parses as infinity, which no JSON can carry back.
+            if n.is_finite() {
+                Ok(n)
+            } else {
+                Err(bad())
+            }
         }
     }
 }
 
-use json::{escape, Value};
+use json::{escape, Elem, Items, Request, Value};
 
 /// Renders the protocol's error response (with the request id echoed
 /// when one was parsed).
@@ -402,68 +616,70 @@ pub fn id_echo(id: Option<&Value>) -> String {
     }
 }
 
-fn parse_counts(v: &Value) -> Result<Vec<(Token, u64)>, String> {
-    let arr = v.as_arr().ok_or("counts must be an array")?;
-    let mut seen = std::collections::HashSet::with_capacity(arr.len());
-    arr.iter()
-        .map(|pair| {
-            let p = pair
-                .as_arr()
-                .ok_or("counts entries must be [token, count]")?;
-            match p {
-                [Value::Str(tok), n] => {
-                    let c = n.as_u64().ok_or("count must be a non-negative integer")?;
-                    // A duplicate token would put two rows into the
-                    // histogram and corrupt its rank invariants.
-                    if !seen.insert(tok.clone()) {
-                        return Err(format!("duplicate token {tok:?} in counts"));
-                    }
-                    Ok((Token::new(tok.clone()), c))
-                }
-                _ => Err("counts entries must be [token, count]".to_string()),
-            }
-        })
-        .collect()
+/// Decodes `counts` as `[[token, count], …]`. The first failing entry
+/// decides the error.
+fn decode_counts(items: Items) -> Result<Vec<(Token, u64)>, String> {
+    let mut counts = Vec::new();
+    let decoded = items.for_each(|e| {
+        let Elem::Pair(tok, n) = e else {
+            return Err("counts entries must be [token, count]".to_string());
+        };
+        let c = n
+            .and_then(|n| Value::Num(n).as_u64())
+            .ok_or("count must be a non-negative integer")?;
+        counts.push((Token::new(tok), c));
+        Ok(())
+    });
+    // A duplicate token would put two rows into the histogram and
+    // corrupt its rank invariants. Every decoded entry precedes a
+    // failing one, so a duplicate among them is the first error.
+    let mut seen = HashSet::with_capacity(counts.len());
+    if let Some((tok, _)) = counts.iter().find(|(t, _)| !seen.insert(t.as_str())) {
+        return Err(format!("duplicate token {:?} in counts", tok.as_str()));
+    }
+    decoded.map(|()| counts)
 }
 
-fn parse_updates(v: &Value) -> Result<Vec<(Token, i64)>, String> {
-    let arr = v.as_arr().ok_or("updates must be an array")?;
-    arr.iter()
-        .map(|pair| {
-            let p = pair
-                .as_arr()
-                .ok_or("updates entries must be [token, delta]")?;
-            match p {
-                [Value::Str(tok), n] => {
-                    let d = n.as_i64().ok_or("delta must be an integer")?;
-                    Ok((Token::new(tok.clone()), d))
-                }
-                _ => Err("updates entries must be [token, delta]".to_string()),
-            }
-        })
-        .collect()
+/// Decodes `updates` as `[[token, delta], …]`.
+fn decode_updates(items: Items) -> Result<Vec<(Token, i64)>, String> {
+    let mut updates = Vec::new();
+    items.for_each(|e| {
+        let Elem::Pair(tok, n) = e else {
+            return Err("updates entries must be [token, delta]".to_string());
+        };
+        let d = n
+            .and_then(|n| Value::Num(n).as_i64())
+            .ok_or("delta must be an integer")?;
+        updates.push((Token::new(tok), d));
+        Ok(())
+    })?;
+    Ok(updates)
 }
 
-fn parse_data(req: &Value) -> Result<JobData, String> {
-    if let Some(counts) = req.get("counts") {
-        let counts = parse_counts(counts)?;
+/// Decodes `tokens` as `["token", …]`.
+fn decode_tokens(items: Items) -> Result<Vec<Token>, String> {
+    let mut tokens = Vec::new();
+    items.for_each(|e| match e {
+        Elem::Str(tok) => {
+            tokens.push(Token::new(tok));
+            Ok(())
+        }
+        _ => Err("tokens entries must be strings".to_string()),
+    })?;
+    Ok(tokens)
+}
+
+fn request_data(req: &Request) -> Result<JobData, String> {
+    if let Some(counts) = req.bulk("counts") {
+        let counts = decode_counts(counts?)?;
         return Ok(JobData::Histogram(
             freqywm_data::histogram::Histogram::from_counts(counts),
         ));
     }
-    if let Some(tokens) = req.get("tokens") {
-        let arr = tokens.as_arr().ok_or("tokens must be an array")?;
-        let tokens: Result<Vec<Token>, String> = arr
-            .iter()
-            .map(|t| {
-                t.as_str()
-                    .map(Token::new)
-                    .ok_or_else(|| "tokens entries must be strings".to_string())
-            })
-            .collect();
-        return Ok(JobData::Tokens(tokens?));
+    match req.bulk("tokens") {
+        Some(tokens) => Ok(JobData::Tokens(decode_tokens(tokens?)?)),
+        None => Err("request needs \"counts\" or \"tokens\"".to_string()),
     }
-    Err("request needs \"counts\" or \"tokens\"".to_string())
 }
 
 fn req_str<'a>(req: &'a Value, key: &str) -> Result<&'a str, String> {
@@ -580,27 +796,25 @@ pub enum Planned {
 
 /// Parses one request line into its echoed id and execution plan.
 pub fn plan(line: &str) -> (Option<Value>, Result<Planned, String>) {
-    let req = match json::parse(line) {
-        Ok(v) => v,
-        Err(e) => return (None, Err(format!("bad json: {e}"))),
-    };
-    let (id, planned) = plan_value(req);
-    (id, planned)
+    match json::parse_request(line) {
+        Ok(req) => plan_request(req),
+        Err(e) => (None, Err(format!("bad json: {e}"))),
+    }
 }
 
-/// [`plan`] over an already-parsed request (the auth gate and the
-/// router both parse before planning).
-pub fn plan_value(req: Value) -> (Option<Value>, Result<Planned, String>) {
+/// [`plan`] over an already-walked request line (the auth gate reads
+/// the request before planning it).
+fn plan_request(req: Request) -> (Option<Value>, Result<Planned, String>) {
     let id = req.get("id").cloned();
-    let planned = plan_request(req);
+    let planned = plan_op(req);
     (id, planned)
 }
 
-fn plan_request(req: Value) -> Result<Planned, String> {
-    let op = req_str(&req, "op")?;
+fn plan_op(req: Request) -> Result<Planned, String> {
+    let op = req_str(req.fields(), "op")?;
     match op {
         "register" | "dispute" | "quota" | "metrics" | "history" | "trace" | "hello"
-        | "replicate" | "promote" => Ok(Planned::Op(req)),
+        | "replicate" | "promote" => Ok(Planned::Op(req.into_fields())),
         "shutdown" => Ok(Planned::Shutdown),
         "embed" | "detect" | "maintain" => plan_job(&req),
         other => Err(format!("unknown op {other:?}")),
@@ -627,7 +841,7 @@ pub enum RouteInfo {
     Unroutable(String),
 }
 
-/// Classifies a parsed request for routing. Mirrors [`plan_value`]'s op
+/// Classifies a parsed request for routing. Mirrors [`plan`]'s op
 /// table — an op added there must be classified here, or the router
 /// will refuse it before a shard ever sees it.
 pub fn route_of(req: &Value) -> RouteInfo {
@@ -663,12 +877,13 @@ pub fn route_of(req: &Value) -> RouteInfo {
     }
 }
 
-fn plan_job(req: &Value) -> Result<Planned, String> {
+fn plan_job(job: &Request) -> Result<Planned, String> {
+    let req = job.fields();
     let op = req_str(req, "op")?;
     match op {
         "embed" => {
             let tenant = req_str(req, "tenant")?.to_string();
-            let data = parse_data(req)?;
+            let data = request_data(job)?;
             let mut params = GenerationParams::default();
             if let Some(b) = req.get("budget").and_then(Value::as_f64) {
                 params = params.with_budget(b);
@@ -694,7 +909,7 @@ fn plan_job(req: &Value) -> Result<Planned, String> {
         }
         "detect" => {
             let tenant = req_str(req, "tenant")?.to_string();
-            let data = parse_data(req)?;
+            let data = request_data(job)?;
             let mut params = DetectionParams::default();
             if let Some(t) = req.get("t").and_then(Value::as_u64) {
                 params = params.with_t(t);
@@ -720,7 +935,7 @@ fn plan_job(req: &Value) -> Result<Planned, String> {
         }
         "maintain" => {
             let tenant = req_str(req, "tenant")?.to_string();
-            let updates = parse_updates(req.get("updates").ok_or("missing \"updates\"")?)?;
+            let updates = decode_updates(job.bulk("updates").ok_or("missing \"updates\"")??)?;
             let replenish = req
                 .get("replenish")
                 .and_then(Value::as_bool)
@@ -1255,16 +1470,15 @@ impl Session {
             // The transport normally stops feeding after shutdown; a
             // pipelined straggler still gets an orderly refusal (with
             // its id echoed, so pipelining clients can match it up).
-            let (id, _) = plan(line);
-            self.slots.push_back(Slot::Ready(err_response(
-                id.as_ref(),
-                "session shutting down",
-            )));
+            let req = json::parse_request(line).ok();
+            let id = req.as_ref().and_then(|r| r.get("id"));
+            self.slots
+                .push_back(Slot::Ready(err_response(id, "session shutting down")));
             return;
         }
         if let Some(token) = self.auth_token.clone() {
             if !self.authed {
-                match json::parse(line) {
+                match json::parse_request(line) {
                     Err(e) => {
                         self.slots
                             .push_back(Slot::Ready(err_response(None, &format!("bad json: {e}"))));
@@ -1281,7 +1495,7 @@ impl Session {
     /// One request on a locked session: a `hello` op with the right
     /// token unlocks it, a matching per-request `auth` field admits
     /// just this request, anything else is refused.
-    fn push_locked(&mut self, engine: &Engine, req: Value, token: &str, started: Instant) {
+    fn push_locked(&mut self, engine: &Engine, req: Request, token: &str, started: Instant) {
         // Every request handled on a locked session pays an auth check;
         // record it as its own span so auth overhead is visible in
         // traces separately from parse/run time.
@@ -1312,7 +1526,7 @@ impl Session {
         if presented.is_some_and(|p| token_eq(p, token)) {
             // Stateless per-request auth: this request runs, the
             // session stays locked.
-            let (id, planned) = plan_value(req);
+            let (id, planned) = plan_request(req);
             self.push_planned(engine, id, planned, started);
             return;
         }
@@ -1784,6 +1998,26 @@ mod tests {
         assert!(parse("{\"a\":}").is_err());
         assert!(parse("[1,2,]").is_err());
         assert!(parse("{\"a\":1} trailing").is_err());
+    }
+
+    #[test]
+    fn non_finite_numbers_are_refused() {
+        for (text, bad) in [
+            ("1e400", "\"1e400\" at offset 0"),
+            ("[-1e309]", "\"-1e309\" at offset 1"),
+        ] {
+            let err = parse(text).unwrap_err();
+            assert_eq!(err, format!("bad number {bad}"));
+        }
+        assert_eq!(parse("1.7976931348623157e308"), Ok(Value::Num(f64::MAX)));
+        // The id used to parse as infinity and echo back as `inf`.
+        let engine = test_engine();
+        let r = handle_line(&engine, r#"{"op":"hello","id":1e400}"#);
+        assert_eq!(
+            r,
+            r#"{"ok":false,"error":"bad json: bad number \"1e400\" at offset 19"}"#
+        );
+        engine.shutdown();
     }
 
     #[test]

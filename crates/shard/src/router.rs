@@ -1067,13 +1067,16 @@ impl Router {
         let Some(conn) = core.client_mut(client).map(|c| &mut c.state) else {
             return;
         };
+        // Only the routing fields are built: bulk arrays are validated
+        // and forwarded verbatim with the line.
+        let req = json::parse_request(line);
         if draining {
-            let (id, _) = freqywm_service::proto::plan(line);
-            conn.push_ready(err_response(id.as_ref(), "router draining"));
+            let id = req.as_ref().ok().and_then(|r| r.get("id"));
+            conn.push_ready(err_response(id, "router draining"));
             self.stats.refused += 1;
             return;
         }
-        let req = match json::parse(line) {
+        let req = match req {
             Ok(v) => v,
             Err(e) => {
                 conn.push_ready(err_response(None, &format!("bad json: {e}")));
@@ -1113,16 +1116,16 @@ impl Router {
                 // stays locked.
             }
         }
-        match route_of(&req) {
+        match route_of(req.fields()) {
             RouteInfo::Tenant(tenant) => {
                 let shard = self.map.shard_of(&tenant);
-                let line = ensure_trace(line, &req);
+                let line = ensure_trace(line, req.fields());
                 self.forward(core, client, shard, &line, id.as_ref());
             }
             RouteInfo::TenantPair(a, b) => {
                 let (sa, sb) = (self.map.shard_of(&a), self.map.shard_of(&b));
                 if sa == sb {
-                    let line = ensure_trace(line, &req);
+                    let line = ensure_trace(line, req.fields());
                     self.forward(core, client, sa, &line, id.as_ref());
                 } else {
                     let msg = format!(
