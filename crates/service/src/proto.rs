@@ -498,25 +498,28 @@ pub mod json {
             let mut out: Option<String> = None;
             loop {
                 let run = self.pos;
-                let len = self.bytes[run..]
-                    .iter()
-                    .position(|&b| b == b'"' || b == b'\\')
-                    .ok_or("unterminated string")?;
-                self.pos = run + len + 1;
-                let text = &self.src[run..run + len];
-                if self.bytes[run + len] == b'"' {
+                let mut end = run;
+                loop {
+                    match self.bytes.get(end) {
+                        None => return Err("unterminated string".to_string()),
+                        Some(b'"' | b'\\') => break,
+                        Some(_) => end += 1,
+                    }
+                }
+                self.pos = end + 1;
+                if self.bytes[end] == b'"' {
                     return Ok(match out {
                         Some(mut s) => {
-                            s.push_str(text);
+                            s.push_str(&self.src[run..end]);
                             Cow::Owned(s)
                         }
-                        None => Cow::Borrowed(&self.src[start..run + len]),
+                        None => Cow::Borrowed(&self.src[start..end]),
                     });
                 }
                 let c = self.escape()?;
                 if decode {
                     let s = out.get_or_insert_with(String::new);
-                    s.push_str(text);
+                    s.push_str(&self.src[run..end]);
                     s.push(c);
                 }
             }
@@ -554,6 +557,23 @@ pub mod json {
         fn number(&mut self) -> Result<f64, String> {
             self.skip_ws();
             let start = self.pos;
+            // Up to 15 digits always fit an f64 exactly: a plain integer
+            // is decoded while it is scanned.
+            let neg = self.bytes.get(start) == Some(&b'-');
+            let mut end = start + usize::from(neg);
+            let mut n = 0u64;
+            while let Some(&b) = self.bytes.get(end).filter(|b| b.is_ascii_digit()) {
+                n = n.wrapping_mul(10).wrapping_add(u64::from(b - b'0'));
+                end += 1;
+            }
+            let digits = end - start - usize::from(neg);
+            let more = matches!(self.bytes.get(end), Some(b'-' | b'+' | b'.' | b'e' | b'E'));
+            if (1..=15).contains(&digits) && !more {
+                self.pos = end;
+                return Ok(if neg { -(n as f64) } else { n as f64 });
+            }
+            // Anything else is the longest run of number characters,
+            // read by `f64::from_str`.
             while let Some(&b) = self.bytes.get(self.pos) {
                 if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
                     self.pos += 1;
@@ -562,29 +582,10 @@ pub mod json {
                 }
             }
             let text = &self.src[start..self.pos];
-            let bad = || format!("bad number {text:?} at offset {start}");
-            // Up to 15 digits always fit an f64 exactly: decode plain
-            // integers directly, everything else through `f64::from_str`.
-            let digits = text.strip_prefix('-').unwrap_or(text);
-            let n = if (1..=15).contains(&digits.len())
-                && digits.bytes().all(|b| b.is_ascii_digit())
-            {
-                let n = digits
-                    .bytes()
-                    .fold(0u64, |n, b| n * 10 + u64::from(b - b'0')) as f64;
-                if digits.len() < text.len() {
-                    -n
-                } else {
-                    n
-                }
-            } else {
-                text.parse::<f64>().map_err(|_| bad())?
-            };
-            // `1e400` parses as infinity, which no JSON can carry back.
-            if n.is_finite() {
-                Ok(n)
-            } else {
-                Err(bad())
+            match text.parse::<f64>() {
+                // `1e400` parses as infinity, which no JSON can carry back.
+                Ok(n) if n.is_finite() => Ok(n),
+                _ => Err(format!("bad number {text:?} at offset {start}")),
             }
         }
     }
