@@ -243,6 +243,7 @@ pub mod json {
             &self.fields
         }
 
+        /// [`Request::fields`], by value.
         pub fn into_fields(self) -> Value {
             self.fields
         }
@@ -266,7 +267,7 @@ pub mod json {
 
     /// One element of a bulk array, decoded only as deep as the
     /// protocol looks.
-    #[derive(Debug, PartialEq)]
+    #[derive(Debug)]
     pub enum Elem<'a> {
         Str(Cow<'a, str>),
         /// A two-element array led by a string; the second element is
