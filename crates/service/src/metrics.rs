@@ -202,11 +202,10 @@ pub struct Metrics {
     /// Slow-request log lines dropped by the stderr rate limiter — a
     /// latency storm shows up here instead of flooding the log.
     pub slow_log_suppressed: AtomicU64,
-    /// Storage writes that failed off the request path (quota
-    /// checkpoints; periodic registry snapshots are added from the
-    /// registry's own count at snapshot time): the request they rode on
-    /// still stands, so the failure is counted here instead of failing
-    /// it.
+    /// Storage writes that failed off the request path: quota
+    /// checkpoints, plus the registry's failed periodic snapshots that
+    /// the engine adds when it takes a snapshot. The request they rode
+    /// on still stands, so the failure is counted instead of failing it.
     pub storage_errors: AtomicU64,
     /// Run time: dequeue → completion.
     pub latency: LatencyHistogram,

@@ -206,21 +206,19 @@ pub mod json {
         let mut seen = [false; 3];
         if p.peek()? == b'{' {
             p.object(true, |p, key| {
-                let Some(slot) = BULK_KEYS.iter().position(|k| *k == key) else {
-                    fields.push((key.into_owned(), p.value()?));
-                    return Ok(());
-                };
-                if std::mem::replace(&mut seen[slot], true) {
-                    return p.skip();
+                match BULK_KEYS.iter().position(|k| *k == key) {
+                    Some(slot) if std::mem::replace(&mut seen[slot], true) => p.skip(),
+                    Some(slot) if p.peek()? == b'[' => {
+                        let start = p.pos;
+                        p.skip()?;
+                        bulk[slot] = Some(&p.src[start..p.pos]);
+                        Ok(())
+                    }
+                    _ => {
+                        fields.push((key.into_owned(), p.value()?));
+                        Ok(())
+                    }
                 }
-                if p.peek()? == b'[' {
-                    let start = p.pos;
-                    p.skip()?;
-                    bulk[slot] = Some(&p.src[start..p.pos]);
-                } else {
-                    fields.push((key.into_owned(), p.value()?));
-                }
-                Ok(())
             })?;
         } else {
             p.skip()?;

@@ -1067,8 +1067,8 @@ impl Router {
         let Some(conn) = core.client_mut(client).map(|c| &mut c.state) else {
             return;
         };
-        // Only the routing fields are built: bulk arrays are validated
-        // and forwarded verbatim with the line.
+        // Bulk arrays are validated but never built: they reach the
+        // shard inside the verbatim line.
         let req = json::parse_request(line);
         if draining {
             let id = req.as_ref().ok().and_then(|r| r.get("id"));
