@@ -205,7 +205,7 @@ pub mod json {
         let mut bulk = [None; 3];
         let mut seen = [false; 3];
         if p.peek()? == b'{' {
-            p.object(true, |p, key| {
+            p.object(|p, key| {
                 match BULK_KEYS.iter().position(|k| *k == key) {
                     Some(slot) if std::mem::replace(&mut seen[slot], true) => p.skip(),
                     Some(slot) if p.peek()? == b'[' => {
@@ -350,7 +350,7 @@ pub mod json {
             Ok(match self.peek()? {
                 b'{' => {
                     let mut fields = Vec::new();
-                    self.object(true, |p, key| {
+                    self.object(|p, key| {
                         fields.push((key.into_owned(), p.value()?));
                         Ok(())
                     })?;
@@ -364,7 +364,7 @@ pub mod json {
                     })?;
                     Value::Arr(items)
                 }
-                b'"' => Value::Str(self.string(true)?.into_owned()),
+                b'"' => Value::Str(self.string()?.into_owned()),
                 b't' => self.literal("true").map(|()| Value::Bool(true))?,
                 b'f' => self.literal("false").map(|()| Value::Bool(false))?,
                 b'n' => self.literal("null").map(|()| Value::Null)?,
@@ -376,9 +376,9 @@ pub mod json {
         /// same depth cap, escapes and numbers — and builds nothing.
         fn skip(&mut self) -> Result<(), String> {
             match self.peek()? {
-                b'{' => self.object(false, |p, _| p.skip()),
+                b'{' => self.object(|p, _| p.skip()),
                 b'[' => self.array(Self::skip),
-                b'"' => self.string(false).map(drop),
+                b'"' => self.string().map(drop),
                 b't' => self.literal("true"),
                 b'f' => self.literal("false"),
                 b'n' => self.literal("null"),
@@ -389,12 +389,12 @@ pub mod json {
         /// One bulk-array element, see [`Elem`].
         fn elem(&mut self) -> Result<Elem<'a>, String> {
             match self.peek()? {
-                b'"' => Ok(Elem::Str(self.string(true)?)),
+                b'"' => Ok(Elem::Str(self.string()?)),
                 b'[' => {
                     let (mut len, mut text, mut num) = (0, None, None);
                     self.array(|p| {
                         match (len, p.peek()?) {
-                            (0, b'"') => text = Some(p.string(true)?),
+                            (0, b'"') => text = Some(p.string()?),
                             (1, b) if !matches!(b, b'"' | b'[' | b'{' | b't' | b'f' | b'n') => {
                                 num = Some(p.number()?)
                             }
@@ -431,10 +431,9 @@ pub mod json {
         }
 
         /// Parses one object, handing each key to `field`, which must
-        /// consume the value. Keys are decoded only with `decode_keys`.
+        /// consume the value.
         fn object(
             &mut self,
-            decode_keys: bool,
             mut field: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), String>,
         ) -> Result<(), String> {
             self.nested(|p| {
@@ -445,7 +444,7 @@ pub mod json {
                 }
                 loop {
                     p.skip_ws();
-                    let key = p.string(decode_keys)?;
+                    let key = p.string()?;
                     p.expect(b':')?;
                     field(p, key)?;
                     match p.peek()? {
@@ -486,12 +485,11 @@ pub mod json {
             })
         }
 
-        /// Scans one string literal, checking every escape. With
-        /// `decode` it returns the text, borrowed from the input unless
-        /// it holds an escape; without, the raw body, allocating
-        /// nothing. Each run up to the next `"` or `\` is copied whole:
-        /// both are ASCII, so a run always ends on a char boundary.
-        fn string(&mut self, decode: bool) -> Result<Cow<'a, str>, String> {
+        /// Decodes one string literal, checking every escape. The text
+        /// is borrowed from the input unless it holds an escape. Each
+        /// run up to the next `"` or `\` is copied whole: both are
+        /// ASCII, so a run always ends on a char boundary.
+        fn string(&mut self) -> Result<Cow<'a, str>, String> {
             self.expect(b'"')?;
             let start = self.pos;
             let mut out: Option<String> = None;
@@ -516,11 +514,9 @@ pub mod json {
                     });
                 }
                 let c = self.escape()?;
-                if decode {
-                    let s = out.get_or_insert_with(String::new);
-                    s.push_str(&self.src[run..end]);
-                    s.push(c);
-                }
+                let s = out.get_or_insert_with(String::new);
+                s.push_str(&self.src[run..end]);
+                s.push(c);
             }
         }
 
