@@ -123,7 +123,12 @@ mod tests {
         let mut f = LineFramer::new(4);
         let mut events = collect(&mut f, b"toolongline");
         assert_eq!(events, vec![LineEvent::Oversized]);
-        events = collect(&mut f, b"stillgoing\nok\n");
+        // The discarded frame's bytes are dropped as they arrive, not
+        // buffered until its newline.
+        events = collect(&mut f, b"stillgoing");
+        assert_eq!(events, vec![]);
+        assert!(f.buf.is_empty());
+        events = collect(&mut f, b"andgoing\nok\n");
         assert_eq!(events, vec![LineEvent::Line("ok".into())]);
     }
 
@@ -138,15 +143,23 @@ mod tests {
 
     #[test]
     fn a_frame_trickled_byte_by_byte_is_scanned_once() {
-        // Rescanning the buffered prefix on every read made this
-        // quadratic: ~3·10^10 byte compares for 256 KiB.
-        let frame = vec![b'x'; 256 * 1024];
+        // Each push resumes the newline search where the last one
+        // stopped, so a frame arriving in k reads costs O(len), not
+        // O(k·len).
+        let frame = vec![b'x'; 64 * 1024];
         let mut f = LineFramer::new(frame.len());
         for b in &frame {
             assert_eq!(collect(&mut f, std::slice::from_ref(b)), vec![]);
+            assert_eq!(f.scanned, f.buf.len());
         }
         let want = String::from_utf8(frame).unwrap();
         assert_eq!(collect(&mut f, b"\n"), vec![LineEvent::Line(want)]);
+        // A byte inside the scanned prefix is never searched again: a
+        // newline planted there goes unseen.
+        f.buf = b"a\nb".to_vec();
+        f.scanned = f.buf.len();
+        assert_eq!(collect(&mut f, b"c"), vec![]);
+        assert_eq!(f.scanned, 4);
     }
 
     #[test]
