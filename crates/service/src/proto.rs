@@ -205,19 +205,17 @@ pub mod json {
         let mut bulk = [None; 3];
         let mut seen = [false; 3];
         if p.peek()? == b'{' {
-            p.object(|p, key| {
-                match BULK_KEYS.iter().position(|k| *k == key) {
-                    Some(slot) if std::mem::replace(&mut seen[slot], true) => p.skip(),
-                    Some(slot) if p.peek()? == b'[' => {
-                        let start = p.pos;
-                        p.skip()?;
-                        bulk[slot] = Some(&p.src[start..p.pos]);
-                        Ok(())
-                    }
-                    _ => {
-                        fields.push((key.into_owned(), p.value()?));
-                        Ok(())
-                    }
+            p.object(|p, key| match BULK_KEYS.iter().position(|k| *k == key) {
+                Some(slot) if std::mem::replace(&mut seen[slot], true) => p.skip(),
+                Some(slot) if p.peek()? == b'[' => {
+                    let start = p.pos;
+                    p.skip()?;
+                    bulk[slot] = Some(&p.src[start..p.pos]);
+                    Ok(())
+                }
+                _ => {
+                    fields.push((key.into_owned(), p.value()?));
+                    Ok(())
                 }
             })?;
         } else {
