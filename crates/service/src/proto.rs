@@ -550,23 +550,6 @@ pub mod json {
         fn number(&mut self) -> Result<f64, String> {
             self.skip_ws();
             let start = self.pos;
-            // Up to 15 digits always fit an f64 exactly: a plain integer
-            // is decoded while it is scanned.
-            let neg = self.bytes.get(start) == Some(&b'-');
-            let mut end = start + usize::from(neg);
-            let mut n = 0u64;
-            while let Some(&b) = self.bytes.get(end).filter(|b| b.is_ascii_digit()) {
-                n = n.wrapping_mul(10).wrapping_add(u64::from(b - b'0'));
-                end += 1;
-            }
-            let digits = end - start - usize::from(neg);
-            let more = matches!(self.bytes.get(end), Some(b'-' | b'+' | b'.' | b'e' | b'E'));
-            if (1..=15).contains(&digits) && !more {
-                self.pos = end;
-                return Ok(if neg { -(n as f64) } else { n as f64 });
-            }
-            // Anything else is the longest run of number characters,
-            // read by `f64::from_str`.
             while let Some(&b) = self.bytes.get(self.pos) {
                 if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
                     self.pos += 1;
