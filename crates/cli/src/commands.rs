@@ -697,8 +697,12 @@ mod tests {
         p.to_string_lossy().into_owned()
     }
 
+    /// A fresh file per call: tests run in parallel, and one
+    /// rewriting a shared file could hand another a half-written one.
     fn sample_file() -> String {
-        let path = tmp("input.txt");
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let path = tmp(&format!("input-{n}.txt"));
         // Heavy-tailed token file with plenty of variation.
         let mut text = String::new();
         for i in 0..60u64 {

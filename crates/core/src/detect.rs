@@ -12,12 +12,12 @@ use crate::secret::SecretList;
 use freqywm_crypto::prf::pair_modulus;
 use freqywm_data::dataset::Dataset;
 use freqywm_data::histogram::Histogram;
-use freqywm_data::token::Token;
 
 /// Per-pair detection detail.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PairVerdict {
-    pub tokens: (Token, Token),
+    /// Index of the pair in `secrets.pairs`.
+    pub pair: usize,
     /// Both tokens present in the suspect histogram?
     pub present: bool,
     /// The re-derived modulus (when present).
@@ -72,12 +72,12 @@ pub fn detect_histogram(
     let mut verdicts = Vec::with_capacity(secrets.pairs.len());
     let mut accepted_pairs = 0usize;
     let mut present_pairs = 0usize;
-    for (a, b) in &secrets.pairs {
+    for (pair, (a, b)) in secrets.pairs.iter().enumerate() {
         let (fa, fb) = match (hist.count(a), hist.count(b)) {
             (Some(fa), Some(fb)) => (fa, fb),
             _ => {
                 verdicts.push(PairVerdict {
-                    tokens: (a.clone(), b.clone()),
+                    pair,
                     present: false,
                     s: None,
                     remainder: None,
@@ -92,7 +92,7 @@ pub fn detect_histogram(
             // Cannot happen for pairs produced by generation; treat a
             // corrupted secret conservatively as non-verifying.
             verdicts.push(PairVerdict {
-                tokens: (a.clone(), b.clone()),
+                pair,
                 present: true,
                 s: Some(s),
                 remainder: None,
@@ -111,7 +111,7 @@ pub fn detect_histogram(
             accepted_pairs += 1;
         }
         verdicts.push(PairVerdict {
-            tokens: (a.clone(), b.clone()),
+            pair,
             present: true,
             s: Some(s),
             remainder: Some(rm),
@@ -143,7 +143,22 @@ mod tests {
     use crate::params::GenerationParams;
     use freqywm_crypto::prf::{pair_modulus, Secret};
     use freqywm_data::synthetic::{power_law_counts, PowerLawConfig};
+    use freqywm_data::token::Token;
     use proptest::prelude::*;
+
+    /// [`detect_histogram`], checking that verdict `i` names pair `i`.
+    fn detect(
+        hist: &Histogram,
+        secrets: &SecretList,
+        params: &DetectionParams,
+    ) -> DetectionOutcome {
+        let d = detect_histogram(hist, secrets, params);
+        assert_eq!(d.verdicts.len(), secrets.pairs.len());
+        for (i, v) in d.verdicts.iter().enumerate() {
+            assert_eq!(v.pair, i);
+        }
+        d
+    }
 
     fn zipf_hist(alpha: f64, tokens: usize, samples: usize) -> Histogram {
         Histogram::from_counts(power_law_counts(&PowerLawConfig {
@@ -171,7 +186,7 @@ mod tests {
         let n = out.secrets.len();
         // t = 0, k = all pairs: the freshly watermarked data verifies fully.
         let params = DetectionParams::default().with_t(0).with_k(n);
-        let d = detect_histogram(&out.watermarked, &out.secrets, &params);
+        let d = detect(&out.watermarked, &out.secrets, &params);
         assert!(d.accepted);
         assert_eq!(d.accepted_pairs, n);
         assert_eq!(d.present_pairs, n);
@@ -186,7 +201,7 @@ mod tests {
         let params = DetectionParams::default()
             .with_t(0)
             .with_k(out.secrets.len());
-        let d = detect_histogram(&h, &out.secrets, &params);
+        let d = detect(&h, &out.secrets, &params);
         assert!(
             !d.accepted,
             "original data must not carry the full watermark"
@@ -201,7 +216,7 @@ mod tests {
         forged.secret = Secret::from_label("attacker");
         let k = (out.secrets.len() / 2).max(1);
         let params = DetectionParams::default().with_t(0).with_k(k);
-        let d = detect_histogram(&out.watermarked, &forged, &params);
+        let d = detect(&out.watermarked, &forged, &params);
         assert!(
             !d.accepted,
             "forged secret verified {}/{} pairs",
@@ -222,7 +237,7 @@ mod tests {
                 .cloned(),
         );
         let params = DetectionParams::default().with_t(0).with_k(1);
-        let d = detect_histogram(&reduced, &out.secrets, &params);
+        let d = detect(&reduced, &out.secrets, &params);
         assert_eq!(d.present_pairs, d.total_pairs - 1);
         assert!(!d.verdicts[0].present);
         assert!(!d.verdicts[0].accepted);
@@ -243,7 +258,7 @@ mod tests {
         noisy = noisy.with_changes(&changes);
         let mut prev = 0usize;
         for t in [0u64, 1, 2, 4, 10, 100] {
-            let d = detect_histogram(
+            let d = detect(
                 &noisy,
                 &out.secrets,
                 &DetectionParams::default().with_t(t).with_k(1),
@@ -271,7 +286,7 @@ mod tests {
             .expect("some pair modulus above 3 in 100 draws");
         let hist = Histogram::from_counts([(a.clone(), 1_000 + s - 1), (b.clone(), 1_000)]);
         let secrets = SecretList::new(vec![(a, b)], secret, z);
-        let sym = detect_histogram(
+        let sym = detect(
             &hist,
             &secrets,
             &DetectionParams::default().with_t(1).with_k(1),
@@ -280,7 +295,7 @@ mod tests {
             sym.accepted,
             "symmetric rule must accept remainder s-1 at t=1"
         );
-        let strict = detect_histogram(
+        let strict = detect(
             &hist,
             &secrets,
             &DetectionParams {
@@ -306,7 +321,7 @@ mod tests {
             .with_t(2)
             .with_k(1)
             .with_scale(4.0);
-        let d = detect_histogram(&quarter, &out.secrets, &params);
+        let d = detect(&quarter, &out.secrets, &params);
         assert!(d.accepted);
         // Most pairs come back under a small tolerance.
         assert!(
@@ -319,13 +334,13 @@ mod tests {
     #[test]
     fn k_zero_always_accepts_and_k_above_pairs_never() {
         let (_h, out, _) = watermark(0.7, 31);
-        let d0 = detect_histogram(
+        let d0 = detect(
             &out.watermarked,
             &out.secrets,
             &DetectionParams::default().with_t(0).with_k(0),
         );
         assert!(d0.accepted, "k = 0 accepts trivially (P(S >= 0) = 1)");
-        let dbig = detect_histogram(
+        let dbig = detect(
             &out.watermarked,
             &out.secrets,
             &DetectionParams::default()
@@ -339,7 +354,7 @@ mod tests {
     fn empty_secret_list() {
         let hist = zipf_hist(0.5, 10, 1_000);
         let secrets = SecretList::new(Vec::new(), Secret::from_label("none"), 31);
-        let d = detect_histogram(&hist, &secrets, &DetectionParams::default().with_k(1));
+        let d = detect(&hist, &secrets, &DetectionParams::default().with_k(1));
         assert!(!d.accepted);
         assert_eq!(d.total_pairs, 0);
         assert_eq!(d.accept_rate(), 0.0);
@@ -363,7 +378,7 @@ mod tests {
                     let params = DetectionParams::default()
                         .with_t(0)
                         .with_k(out.secrets.len());
-                    let d = detect_histogram(&out.watermarked, &out.secrets, &params);
+                    let d = detect(&out.watermarked, &out.secrets, &params);
                     prop_assert!(d.accepted);
                     prop_assert_eq!(d.accepted_pairs, out.secrets.len());
                 }

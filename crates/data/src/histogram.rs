@@ -11,7 +11,10 @@
 //! against `⌈s_ij/2⌉` to guarantee the Ranking Constraint.
 
 use crate::token::Token;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::fmt;
+use std::hash::BuildHasher;
 
 /// Movement allowance of one histogram entry. `upper == u64::MAX`
 /// encodes the unbounded allowance of the top-ranked token.
@@ -21,12 +24,40 @@ pub struct Boundaries {
     pub lower: u64,
 }
 
+/// Marks a vacant index slot.
+const VACANT: u32 = u32::MAX;
+
 /// A token-frequency histogram sorted descending by frequency
 /// (ties broken by token text for determinism).
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Lookups go through an open-addressed (linear probing) table of
+/// ranks into `entries`, so the index holds no copy of any token. The
+/// table is keyed by a per-histogram [`RandomState`]: suspect tokens
+/// come off the network, and a fixed hash would let a sender aim
+/// collisions at it.
+#[derive(Clone)]
 pub struct Histogram {
     entries: Vec<(Token, u64)>,
-    index: HashMap<Token, usize>,
+    /// Ranks into `entries`, `VACANT` where empty. Its length is a
+    /// power of two above twice `entries.len()`.
+    slots: Vec<u32>,
+    hasher: RandomState,
+}
+
+impl PartialEq for Histogram {
+    fn eq(&self, other: &Self) -> bool {
+        self.entries == other.entries
+    }
+}
+
+impl Eq for Histogram {}
+
+impl fmt::Debug for Histogram {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Histogram")
+            .field("entries", &self.entries)
+            .finish()
+    }
 }
 
 impl Histogram {
@@ -44,19 +75,82 @@ impl Histogram {
 
     /// Builds a histogram from precomputed counts. Tokens with zero
     /// count are kept (a watermark may drive a count to zero and
-    /// detection must still see the token).
+    /// detection must still see the token). Panics on a repeated
+    /// token; see [`Self::try_from_counts`].
     pub fn from_counts<I>(counts: I) -> Self
     where
         I: IntoIterator<Item = (Token, u64)>,
     {
-        let mut entries: Vec<(Token, u64)> = counts.into_iter().collect();
-        entries.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        let index = entries
-            .iter()
-            .enumerate()
-            .map(|(i, (t, _))| (t.clone(), i))
-            .collect();
-        Histogram { entries, index }
+        Self::try_from_counts(counts.into_iter().collect())
+            .unwrap_or_else(|t| panic!("duplicate token in counts: {t}"))
+    }
+
+    /// Like [`Self::from_counts`], but a repeated token is returned as
+    /// the error instead of panicking: the first one, in input order,
+    /// that repeats an earlier entry.
+    pub fn try_from_counts(entries: Vec<(Token, u64)>) -> Result<Self, Token> {
+        assert!(
+            entries.len() < VACANT as usize,
+            "histogram too large to index"
+        );
+        let mut h = Histogram {
+            slots: vec![VACANT; (entries.len() * 2 + 1).next_power_of_two()],
+            hasher: RandomState::new(),
+            entries,
+        };
+        // Index in input order, so the first repeat found is the first
+        // in the input; the slots hold input positions until `rank`.
+        for i in 0..h.entries.len() {
+            match h.probe(h.entries[i].0.as_str()) {
+                Ok(_) => return Err(h.entries.swap_remove(i).0),
+                Err(vacant) => h.slots[vacant] = i as u32,
+            }
+        }
+        h.rank();
+        Ok(h)
+    }
+
+    /// Walks `key`'s probe sequence: `Ok(position)` of its entry, or
+    /// `Err(slot)` at the vacancy that ends the walk.
+    fn probe(&self, key: &str) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.hasher.hash_one(key) as usize & mask;
+        loop {
+            match self.slots[slot] {
+                VACANT => return Err(slot),
+                p if self.entries[p as usize].0.as_str() == key => return Ok(p as usize),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Sorts `entries` into rank order and rewrites the slots from old
+    /// positions to the new ranks. A slot's place depends only on its
+    /// token's hash, so the table needs no rehash. Tokens are distinct,
+    /// which makes the order total and the unstable sort deterministic.
+    fn rank(&mut self) {
+        let n = self.entries.len();
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        let e = &self.entries;
+        order.sort_unstable_by(|&a, &b| {
+            let ((ta, ca), (tb, cb)) = (&e[a as usize], &e[b as usize]);
+            cb.cmp(ca).then_with(|| ta.cmp(tb))
+        });
+        let mut rank = vec![0u32; n];
+        for (r, &p) in order.iter().enumerate() {
+            rank[p as usize] = r as u32;
+        }
+        for s in self.slots.iter_mut().filter(|s| **s != VACANT) {
+            *s = rank[*s as usize];
+        }
+        // Move each entry to its rank, one swap per entry placed.
+        for i in 0..n {
+            while rank[i] as usize != i {
+                let r = rank[i] as usize;
+                self.entries.swap(i, r);
+                rank.swap(i, r);
+            }
+        }
     }
 
     /// Number of distinct tokens.
@@ -80,12 +174,12 @@ impl Histogram {
 
     /// Frequency of `token`, if present.
     pub fn count(&self, token: &Token) -> Option<u64> {
-        self.index.get(token).map(|&i| self.entries[i].1)
+        self.rank_of(token).map(|r| self.entries[r].1)
     }
 
     /// Rank (0 = most frequent) of `token`, if present.
     pub fn rank_of(&self, token: &Token) -> Option<usize> {
-        self.index.get(token).copied()
+        self.probe(token.as_str()).ok()
     }
 
     /// The frequency vector in rank order.
@@ -124,18 +218,20 @@ impl Histogram {
     /// (and re-sorted). Panics if a change would drive a count negative
     /// or references an unknown token.
     pub fn with_changes(&self, changes: &[(Token, i64)]) -> Histogram {
-        let mut counts: HashMap<Token, u64> = self.entries.iter().cloned().collect();
+        let mut h = self.clone();
         for (t, d) in changes {
-            let c = counts
-                .get_mut(t)
+            let r = h
+                .rank_of(t)
                 .unwrap_or_else(|| panic!("unknown token in change set: {t}"));
+            let c = &mut h.entries[r].1;
             let next = (*c as i64)
                 .checked_add(*d)
                 .filter(|&v| v >= 0)
                 .unwrap_or_else(|| panic!("change drives count of {t} negative"));
             *c = next as u64;
         }
-        Histogram::from_counts(counts)
+        h.rank();
+        h
     }
 
     /// Scales every count by `factor` (rounding to nearest), the
@@ -145,11 +241,12 @@ impl Histogram {
             factor.is_finite() && factor > 0.0,
             "scale factor must be positive"
         );
-        Histogram::from_counts(
-            self.entries
-                .iter()
-                .map(|(t, c)| (t.clone(), (*c as f64 * factor).round() as u64)),
-        )
+        let mut h = self.clone();
+        for (_, c) in &mut h.entries {
+            *c = (*c as f64 * factor).round() as u64;
+        }
+        h.rank();
+        h
     }
 
     /// Paired count vectors over the token union of `self` and `other`
@@ -326,6 +423,29 @@ mod tests {
         assert_eq!(vb, vec![0, 2, 7]);
     }
 
+    #[test]
+    fn try_from_counts_names_the_first_repeat_in_input_order() {
+        let counts = vec![(tk("b"), 1), (tk("a"), 2), (tk("a"), 3), (tk("b"), 4)];
+        assert_eq!(Histogram::try_from_counts(counts), Err(tk("a")));
+        let h = Histogram::try_from_counts(vec![(tk("b"), 1), (tk("a"), 2)]).unwrap();
+        assert_eq!(h.rank_of(&tk("a")), Some(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate token")]
+    fn from_counts_panics_on_a_repeat() {
+        Histogram::from_counts([(tk("x"), 1), (tk("x"), 2)]);
+    }
+
+    #[test]
+    fn equality_and_debug_ignore_the_index() {
+        let a = running_example();
+        let b = Histogram::from_counts(a.entries().iter().rev().cloned());
+        assert_eq!(a, b);
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert!(format!("{a:?}").starts_with("Histogram { entries: ["));
+    }
+
     proptest! {
         #[test]
         fn boundaries_are_consistent(counts in proptest::collection::vec(0u64..1000, 1..50)) {
@@ -346,6 +466,55 @@ mod tests {
             // Sorted descending.
             for w in f.windows(2) {
                 prop_assert!(w[0] >= w[1]);
+            }
+        }
+
+        /// Tokens drawn from a small alphabet, so inputs often repeat one.
+        #[test]
+        fn index_agrees_with_a_linear_scan(
+            raw in proptest::collection::vec((0u8..40, 0u64..50), 0..60),
+            changes in proptest::collection::vec((0u8..40, -30i64..30), 0..8),
+        ) {
+            let counts: Vec<(Token, u64)> =
+                raw.iter().map(|&(t, c)| (tk(&format!("t{t}")), c)).collect();
+            let first_repeat = (0..counts.len())
+                .find(|&i| counts[..i].iter().any(|(t, _)| *t == counts[i].0))
+                .map(|i| counts[i].0.clone());
+            let h = match (Histogram::try_from_counts(counts.clone()), first_repeat) {
+                (Err(t), Some(want)) => {
+                    prop_assert_eq!(t, want);
+                    return Ok(());
+                }
+                (Ok(h), None) => h,
+                (got, want) => panic!("try_from_counts gave {got:?}, repeat {want:?}"),
+            };
+            prop_assert_eq!(h.len(), counts.len());
+            for t in (0u8..45).map(|t| tk(&format!("t{t}"))) {
+                let scan = h.entries().iter().position(|(u, _)| *u == t);
+                prop_assert_eq!(h.rank_of(&t), scan);
+                prop_assert_eq!(h.count(&t), scan.map(|r| h.entries()[r].1));
+            }
+            // Two builds (two hash keys) of the same counts are equal.
+            prop_assert_eq!(&Histogram::from_counts(counts.clone()), &h);
+
+            // Keep the changes that name a present token and never take
+            // a count below zero, then compare with a rebuild.
+            let mut expect = counts.clone();
+            let mut applied = Vec::new();
+            for (t, d) in changes {
+                let t = tk(&format!("t{t}"));
+                if let Some(e) = expect.iter_mut().find(|(u, _)| *u == t) {
+                    if let Some(next) = e.1.checked_add_signed(d) {
+                        e.1 = next;
+                        applied.push((t, d));
+                    }
+                }
+            }
+            let changed = h.with_changes(&applied);
+            prop_assert_eq!(&changed, &Histogram::from_counts(expect));
+            for (t, _) in h.entries() {
+                let scan = changed.entries().iter().position(|(u, _)| u == t);
+                prop_assert_eq!(changed.rank_of(t), scan);
             }
         }
 

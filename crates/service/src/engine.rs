@@ -44,7 +44,7 @@ use freqywm_core::detect::detect_histogram;
 use freqywm_core::generate::Watermarker;
 use freqywm_core::incremental::IncrementalWatermarker;
 use freqywm_core::judge::{judge_dispute, Claim, Ruling, Verdict};
-use freqywm_core::params::DetectionParams;
+use freqywm_core::params::{DetectionParams, GenerationParams};
 use freqywm_crypto::prf::Secret;
 use freqywm_data::histogram::Histogram;
 use freqywm_obs::history::HistoryRing;
@@ -1266,14 +1266,14 @@ fn run_payload(
             data,
             params,
         } => {
-            let secrets = {
+            let stored = {
                 let registry = shared.registry.read().expect("registry lock poisoned");
-                registry.require_watermark(&tenant)?.secrets.clone()
+                Arc::clone(registry.require_watermark(&tenant)?)
             };
             let hist = materialize(shared, data, &cancel)?;
             check_deadline(&cancel)?;
             let sweep_started = Instant::now();
-            let outcome = detect_histogram(&hist, &secrets, &params);
+            let outcome = detect_histogram(&hist, &stored.secrets, &params);
             sweep_span(&tenant, JobKind::Detect, sweep_started);
             Ok(JobOutput::Detect(DetectOutcome { tenant, outcome }))
         }
@@ -1282,38 +1282,41 @@ fn run_payload(
             updates,
             replenish,
         } => {
-            // Snapshot the watermark, run maintenance outside the lock,
-            // then write back. Maintenance is per-tenant serialised by
-            // construction only if callers do not race maintain jobs
-            // for the same tenant; concurrent tenants never contend.
-            let (secrets, hist, params) = {
-                let registry = shared.registry.read().expect("registry lock poisoned");
-                let wm = registry.require_watermark(&tenant)?;
-                (
-                    wm.secrets.clone(),
-                    wm.watermarked.clone(),
-                    freqywm_core::params::GenerationParams::default().with_z(wm.secrets.z),
-                )
-            };
-            let mut maintainer = IncrementalWatermarker::new(params, secrets, hist);
-            let sweep_started = Instant::now();
-            let report = maintainer.apply_updates(&updates, replenish)?;
-            sweep_span(&tenant, JobKind::Maintain, sweep_started);
-            let ledger_index = {
+            // Maintain a snapshot outside the lock, then write back
+            // only if no other maintain replaced the record meanwhile;
+            // otherwise redo the updates on the newer record. The held
+            // `Arc` keeps the snapshot's address from being reused, so
+            // pointer equality is a sound version check.
+            loop {
+                let snapshot = {
+                    let registry = shared.registry.read().expect("registry lock poisoned");
+                    Arc::clone(registry.require_watermark(&tenant)?)
+                };
+                let mut maintainer = IncrementalWatermarker::new(
+                    GenerationParams::default().with_z(snapshot.secrets.z),
+                    snapshot.secrets.clone(),
+                    snapshot.watermarked.clone(),
+                );
+                let sweep_started = Instant::now();
+                let report = maintainer.apply_updates(&updates, replenish)?;
+                sweep_span(&tenant, JobKind::Maintain, sweep_started);
                 let mut registry = shared.registry.write().expect("registry lock poisoned");
+                if !Arc::ptr_eq(registry.require_watermark(&tenant)?, &snapshot) {
+                    continue;
+                }
                 let now = shared.clock.fetch_add(1, Ordering::Relaxed);
-                registry.replace_latest_watermark(
+                let ledger_index = registry.replace_latest_watermark(
                     &tenant,
                     maintainer.secrets().clone(),
                     maintainer.histogram().clone(),
                     now,
-                )?
-            };
-            Ok(JobOutput::Maintain(MaintainOutcome {
-                tenant,
-                report,
-                ledger_index,
-            }))
+                )?;
+                break Ok(JobOutput::Maintain(MaintainOutcome {
+                    tenant,
+                    report,
+                    ledger_index,
+                }));
+            }
         }
     }
 }

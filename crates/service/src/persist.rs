@@ -119,7 +119,10 @@ fn read_histogram(r: &mut Reader<'_>) -> std::result::Result<Histogram, CodecErr
         let token = Token::new(r.str()?.to_string());
         counts.push((token, r.u64()?));
     }
-    Ok(Histogram::from_counts(counts))
+    Histogram::try_from_counts(counts).map_err(|_| CodecError::Corrupt {
+        offset: 0,
+        reason: "duplicate token in histogram",
+    })
 }
 
 fn read_secret_list(r: &mut Reader<'_>) -> std::result::Result<SecretList, CodecError> {
@@ -384,12 +387,12 @@ fn decode_snapshot(
             for _ in 0..n_wm {
                 let secrets = read_secret_list(&mut r)?;
                 let watermarked = read_histogram(&mut r)?;
-                watermarks.push(crate::registry::StoredWatermark {
+                watermarks.push(std::sync::Arc::new(crate::registry::StoredWatermark {
                     secrets,
                     watermarked,
                     ledger_index: r.u64()?,
                     registered_at: r.u64()?,
-                });
+                }));
             }
             tenants.push(TenantSnapshot {
                 tenant,
@@ -1084,6 +1087,32 @@ mod tests {
     fn open(storage: &InMemoryStorage, snapshot_every: usize) -> DurableRegistry {
         DurableRegistry::open(b"persist-test", Box::new(storage.clone()), snapshot_every)
             .expect("open")
+    }
+
+    #[test]
+    fn duplicate_histogram_token_is_a_codec_error() {
+        let ev = RegistryEvent::RecordWatermark {
+            tenant: "acme".into(),
+            secrets: secrets("w"),
+            watermarked: Histogram::from_counts([(Token::new("a"), 10), (Token::new("b"), 5)]),
+            now: 8,
+        };
+        let mut payload = encode_event(3, &ev);
+        // The histogram's second entry, `b` with count 5, becomes a
+        // second `a`.
+        let b_entry = [&1u64.to_be_bytes()[..], b"b", &5u64.to_be_bytes()].concat();
+        let at = payload
+            .windows(b_entry.len())
+            .position(|w| w == b_entry)
+            .expect("encoded entry");
+        payload[at + 8] = b'a';
+        assert_eq!(
+            decode_event(&payload).map(|_| ()),
+            Err(CodecError::Corrupt {
+                offset: 0,
+                reason: "duplicate token in histogram",
+            })
+        );
     }
 
     #[test]

@@ -39,9 +39,10 @@ use crate::error::ServiceError;
 use crate::job::{JobData, JobId, JobKind, JobOutput, JobPayload, JobSpec, JobState};
 use freqywm_core::params::{DetectionParams, GenerationParams};
 use freqywm_crypto::prf::Secret;
+use freqywm_data::histogram::Histogram;
 use freqywm_data::token::Token;
 use freqywm_obs::{OpKind, Span, Stage, TraceFilter};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, Write};
 use std::time::{Duration, Instant};
 
@@ -593,9 +594,9 @@ pub fn id_echo(id: Option<&Value>) -> String {
     }
 }
 
-/// Decodes `counts` as `[[token, count], …]`. The first failing entry
-/// decides the error.
-fn decode_counts(items: Items) -> Result<Vec<(Token, u64)>, String> {
+/// Decodes `counts` as `[[token, count], …]` into the suspect
+/// histogram. The first failing entry decides the error.
+fn decode_counts(items: Items) -> Result<Histogram, String> {
     let mut counts = Vec::new();
     let decoded = items.for_each(|e| {
         let Elem::Pair(tok, n) = e else {
@@ -608,13 +609,12 @@ fn decode_counts(items: Items) -> Result<Vec<(Token, u64)>, String> {
         Ok(())
     });
     // A duplicate token would put two rows into the histogram and
-    // corrupt its rank invariants. Every decoded entry precedes a
-    // failing one, so a duplicate among them is the first error.
-    let mut seen = HashSet::with_capacity(counts.len());
-    if let Some((tok, _)) = counts.iter().find(|(t, _)| !seen.insert(t.as_str())) {
-        return Err(format!("duplicate token {:?} in counts", tok.as_str()));
-    }
-    decoded.map(|()| counts)
+    // corrupt its rank invariants; building the index finds one. Every
+    // decoded entry precedes a failing one, so a duplicate among them
+    // is the first error.
+    let hist = Histogram::try_from_counts(counts)
+        .map_err(|tok| format!("duplicate token {:?} in counts", tok.as_str()))?;
+    decoded.map(|()| hist)
 }
 
 /// Decodes `updates` as `[[token, delta], …]`.
@@ -648,10 +648,7 @@ fn decode_tokens(items: Items) -> Result<Vec<Token>, String> {
 
 fn request_data(req: &Request) -> Result<JobData, String> {
     if let Some(counts) = req.bulk("counts") {
-        let counts = decode_counts(counts?)?;
-        return Ok(JobData::Histogram(
-            freqywm_data::histogram::Histogram::from_counts(counts),
-        ));
+        return Ok(JobData::Histogram(decode_counts(counts?)?));
     }
     match req.bulk("tokens") {
         Some(tokens) => Ok(JobData::Tokens(decode_tokens(tokens?)?)),

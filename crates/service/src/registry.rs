@@ -17,8 +17,12 @@ use freqywm_crypto::prf::Secret;
 use freqywm_data::histogram::Histogram;
 use freqywm_ledger::Ledger;
 use std::collections::HashMap;
+use std::sync::Arc;
 
-/// One embedded watermark on record for a tenant.
+/// One embedded watermark on record for a tenant. The registry keeps
+/// each one behind an [`Arc`] and never mutates it: a reader (detect,
+/// maintain) holds its own reference outside the lock, and a
+/// maintenance write swaps in a new record.
 #[derive(Debug, Clone)]
 pub struct StoredWatermark {
     /// The secret list `L_sc = {L_wm, R, z}` produced by the embed.
@@ -41,7 +45,7 @@ pub struct TenantSnapshot {
     pub secret: Secret,
     pub ledger_index: u64,
     pub registered_at: u64,
-    pub watermarks: Vec<StoredWatermark>,
+    pub watermarks: Vec<Arc<StoredWatermark>>,
 }
 
 #[derive(Debug)]
@@ -49,7 +53,7 @@ struct TenantRecord {
     secret: Secret,
     ledger_index: u64,
     registered_at: u64,
-    watermarks: Vec<StoredWatermark>,
+    watermarks: Vec<Arc<StoredWatermark>>,
 }
 
 /// Durable per-tenant quota state: explicit limits (if any) plus the
@@ -256,12 +260,12 @@ impl KeyRegistry {
             .ledger
             .register(now, tenant, secrets.to_text().as_bytes());
         let record = self.tenants.get_mut(tenant).expect("checked above");
-        record.watermarks.push(StoredWatermark {
+        record.watermarks.push(Arc::new(StoredWatermark {
             secrets,
             watermarked,
             ledger_index,
             registered_at: now,
-        });
+        }));
         Ok(ledger_index)
     }
 
@@ -285,22 +289,22 @@ impl KeyRegistry {
             .get_mut(tenant)
             .expect("latest_watermark checked");
         let latest = record.watermarks.last_mut().expect("non-empty");
-        *latest = StoredWatermark {
+        *latest = Arc::new(StoredWatermark {
             secrets,
             watermarked,
             ledger_index,
             registered_at: now,
-        };
+        });
         Ok(ledger_index)
     }
 
     /// The tenant's most recent watermark, if any embed completed.
-    pub fn latest_watermark(&self, tenant: &str) -> Option<&StoredWatermark> {
+    pub fn latest_watermark(&self, tenant: &str) -> Option<&Arc<StoredWatermark>> {
         self.tenants.get(tenant)?.watermarks.last()
     }
 
     /// Like [`Self::latest_watermark`] but with service-level errors.
-    pub fn require_watermark(&self, tenant: &str) -> Result<&StoredWatermark> {
+    pub fn require_watermark(&self, tenant: &str) -> Result<&Arc<StoredWatermark>> {
         let record = self
             .tenants
             .get(tenant)

@@ -3,10 +3,12 @@
 //! acceptance criteria for concurrent multi-tenant detection, engine
 //! results equal to the core algorithms, and a thread-storm smoke test.
 
+use freqywm_core::incremental::IncrementalWatermarker;
 use freqywm_core::params::{DetectionParams, GenerationParams};
 use freqywm_crypto::prf::Secret;
 use freqywm_data::histogram::Histogram;
 use freqywm_data::synthetic::{power_law_counts, power_law_dataset_seeded, PowerLawConfig};
+use freqywm_data::token::Token;
 use freqywm_service::engine::{Engine, EngineConfig};
 use freqywm_service::job::{JobData, JobOutput, JobPayload, JobSpec, JobState};
 use freqywm_service::ServiceError;
@@ -450,6 +452,76 @@ fn maintain_job_repairs_watermark() {
     // Maintenance re-registered the fingerprint.
     assert_eq!(engine.registry().ledger().len(), ledger_before + 1);
     assert!(engine.registry().ledger().verify_chain().is_ok());
+    engine.shutdown();
+}
+
+/// Concurrent maintains on one tenant lose no update: replaying every
+/// acknowledged batch in ledger order from the embed reproduces the
+/// stored watermark exactly.
+#[test]
+fn concurrent_maintains_lose_no_update() {
+    const WORKERS: usize = 4;
+    const JOBS: usize = 48;
+    let engine = Engine::start(EngineConfig {
+        workers: WORKERS,
+        queue_capacity: JOBS + 8,
+        ..EngineConfig::default()
+    });
+    engine
+        .register_tenant("acme", Secret::from_label("maintain-race"))
+        .unwrap();
+    embed(
+        &engine,
+        "acme",
+        zipf_hist(0.6, 300, 300_000),
+        GenerationParams::default().with_z(101),
+    );
+    let embedded = Arc::clone(engine.registry().require_watermark("acme").unwrap());
+
+    // Each batch bumps a different spread of tokens.
+    let batch = |j: usize| -> Vec<(Token, i64)> {
+        (0..300)
+            .skip(j % 7)
+            .step_by(5 + j % 4)
+            .map(|i| (Token::new(format!("tk{i:05}")), 1 + (j % 3) as i64))
+            .collect()
+    };
+    let ids: Vec<_> = (0..JOBS)
+        .map(|j| {
+            let id = engine
+                .submit(JobSpec::new(JobPayload::Maintain {
+                    tenant: "acme".into(),
+                    updates: batch(j),
+                    replenish: j % 2 == 0,
+                }))
+                .expect("queue sized for every job");
+            (j, id)
+        })
+        .collect();
+    let mut acked: Vec<(u64, usize)> = ids
+        .into_iter()
+        .map(|(j, id)| match engine.wait(id) {
+            JobState::Completed(JobOutput::Maintain(m)) => (m.ledger_index, j),
+            other => panic!("maintain {j} did not complete: {other:?}"),
+        })
+        .collect();
+    acked.sort_unstable();
+
+    let mut replay = IncrementalWatermarker::new(
+        GenerationParams::default().with_z(embedded.secrets.z),
+        embedded.secrets.clone(),
+        embedded.watermarked.clone(),
+    );
+    for &(_, j) in &acked {
+        replay.apply_updates(&batch(j), j % 2 == 0).unwrap();
+    }
+    let registry = engine.registry();
+    let stored = registry.require_watermark("acme").unwrap();
+    assert_eq!(&stored.secrets, replay.secrets());
+    assert_eq!(&stored.watermarked, replay.histogram());
+    assert_eq!(stored.ledger_index, acked.last().unwrap().0);
+    drop(registry);
+    assert_eq!(engine.metrics().failed, 0);
     engine.shutdown();
 }
 

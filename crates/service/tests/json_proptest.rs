@@ -207,8 +207,7 @@ proptest! {
         }
     }
 
-    /// Plain integers skip `f64::from_str`; they must read exactly as
-    /// it would, sign of zero included.
+    /// Any value the writer renders parses back to itself.
     #[test]
     fn write_then_parse_round_trips(seed in 0u64..u64::MAX) {
         let value = Gen(seed).value(4);
